@@ -3,6 +3,14 @@
 //! partition product (O(‖π̂‖)), the exact g3 computation (O(‖π̂‖)), and the
 //! O(1) bound check that replaces it.
 //!
+//! Besides level-1 products, the product runs on a deep pair
+//! ({1,2,3}·{1,2,4}) and a skewed pair ({0}·{1}: many small classes of the
+//! near-key sample id against few large ones) of wbc×64, and exact g3 runs
+//! on both wbc and wbc×64.
+//! Kernel lines print throughput as (‖π̂_a‖ + ‖π̂_b‖) / time, the
+//! definition the workspace benchmark's `product.melem_per_s` and
+//! `g3.melem_per_s` use.
+//!
 //! Hand-rolled timing harness (criterion is unavailable offline): each
 //! benchmark warms up, then reports the best-of-N wall-clock time per
 //! iteration. Run with `cargo bench --bench partitions`.
@@ -51,6 +59,16 @@ fn report(group: &str, name: &str, secs: f64, elements: Option<usize>) {
     println!("{group}/{name:<24} {:>12.3} µs{per}", secs * 1e6);
 }
 
+/// A kernel line: time per call and (‖π̂_a‖ + ‖π̂_b‖) / time in Melem/s.
+fn report_kernel(group: &str, name: &str, secs: f64, a: &StrippedPartition, b: &StrippedPartition) {
+    let elements = a.num_elements() + b.num_elements();
+    println!(
+        "{group}/{name:<24} {:>12.3} µs  {:>8.1} Melem/s  ({elements} elem)",
+        secs * 1e6,
+        elements as f64 / secs / 1e6
+    );
+}
+
 fn bench_from_column() {
     for copies in [1usize, 8, 64] {
         let r = scaled_wbc(copies);
@@ -72,26 +90,38 @@ fn bench_product() {
         let pb = StrippedPartition::from_column(r.column_codes(2));
         let mut scratch = ProductScratch::new(r.num_rows());
         let secs = best_secs(20, || product_with_scratch(&pa, &pb, &mut scratch));
-        report(
-            "product",
-            &r.num_rows().to_string(),
-            secs,
-            Some(r.num_rows()),
-        );
+        report_kernel("product", &r.num_rows().to_string(), secs, &pa, &pb);
+    }
+    let r = scaled_wbc(64);
+    let mut scratch = ProductScratch::new(r.num_rows());
+    for (name, x, y) in [
+        ("deep_123x124", &[1, 2, 3][..], &[1, 2, 4][..]),
+        ("skewed_0x1", &[0][..], &[1][..]),
+    ] {
+        let pa = StrippedPartition::from_attr_set(&r, AttrSet::from_indices(x.iter().copied()));
+        let pb = StrippedPartition::from_attr_set(&r, AttrSet::from_indices(y.iter().copied()));
+        let secs = best_secs(20, || product_with_scratch(&pa, &pb, &mut scratch));
+        report_kernel("product", name, secs, &pa, &pb);
     }
 }
 
 fn bench_g3() {
-    let r = wisconsin_breast_cancer();
-    let pi_x = StrippedPartition::from_attr_set(&r, AttrSet::from_indices([1, 2]));
-    let pi_xa = StrippedPartition::from_attr_set(&r, AttrSet::from_indices([1, 2, 10]));
-    let mut scratch = G3Scratch::new(r.num_rows());
-    let secs = best_secs(20, || {
-        g3_removed_rows_with_scratch(&pi_x, &pi_xa, &mut scratch)
-    });
-    report("g3", "exact", secs, None);
-    let secs = best_secs(20, || G3Bounds::new(&pi_x, &pi_xa).decide(0.05));
-    report("g3", "bounds_only", secs, None);
+    for (name, r) in [
+        ("exact", wisconsin_breast_cancer()),
+        ("exact_wbc64", scaled_wbc(64)),
+    ] {
+        let pi_x = StrippedPartition::from_attr_set(&r, AttrSet::from_indices([1, 2]));
+        let pi_xa = StrippedPartition::from_attr_set(&r, AttrSet::from_indices([1, 2, 10]));
+        let mut scratch = G3Scratch::new(r.num_rows());
+        let secs = best_secs(20, || {
+            g3_removed_rows_with_scratch(&pi_x, &pi_xa, &mut scratch)
+        });
+        report_kernel("g3", name, secs, &pi_x, &pi_xa);
+        if name == "exact" {
+            let secs = best_secs(20, || G3Bounds::new(&pi_x, &pi_xa).decide(0.05));
+            report("g3", "bounds_only", secs, None);
+        }
+    }
 }
 
 fn main() {

@@ -6,12 +6,15 @@
 //! and lattice statistics on every combination of dataset × storage
 //! backend × mode — including the counters (`products`, `validity_tests`,
 //! `g3_*`) that would drift first if scheduling leaked into the search.
+//! The segment store's counters must not depend on row order either.
 
 use tane_core::{
-    discover_approx_fds, discover_fds, ApproxTaneConfig, Storage, TaneConfig, TaneResult,
+    discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
+    ApproxTaneConfig, Storage, TaneConfig, TaneResult,
 };
 use tane_datasets::{generate, ColumnSpec, DatasetSpec};
 use tane_relation::{Relation, Schema, Value};
+use tane_util::SplitMix64;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -237,4 +240,69 @@ fn parallel_paths_actually_engage_on_the_planted_relation() {
         approx.stats.g3_exact_computations > 0,
         "no undecided tests: the batched g3 path is untested at ε=0.05"
     );
+}
+
+/// `relation` with its rows in a seeded random order.
+fn permute_rows(relation: &Relation, seed: u64) -> Relation {
+    let mut order: Vec<usize> = (0..relation.num_rows()).collect();
+    let mut rng = SplitMix64::new(seed);
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.usize_below(i + 1));
+    }
+    let columns = (0..relation.num_attrs())
+        .map(|a| {
+            let codes = relation.column_codes(a);
+            order.iter().map(|&row| codes[row]).collect()
+        })
+        .collect();
+    Relation::from_codes(relation.schema().clone(), columns).unwrap()
+}
+
+/// The segment store's I/O and residency counters plus the per-level
+/// `partitions_bytes` gauge, for a disk run with a cache small enough to
+/// evict.
+fn store_view(relation: &Relation, epsilon: f64) -> impl PartialEq + std::fmt::Debug {
+    let base = TaneConfig::disk(1 << 16).with_threads(2);
+    let mut level_bytes = Vec::new();
+    let on_level = |ev: tane_core::LevelEvent| level_bytes.push(ev.partitions_bytes);
+    let r = if epsilon > 0.0 {
+        let config = ApproxTaneConfig {
+            base,
+            ..ApproxTaneConfig::new(epsilon)
+        };
+        discover_approx_fds_with(relation, &config, on_level).unwrap()
+    } else {
+        discover_fds_with(relation, &base, on_level).unwrap()
+    };
+    assert!(
+        r.stats.store_evictions > 0 && r.stats.disk_reads > 0,
+        "the cache must be small enough to evict and read back"
+    );
+    (
+        r.stats.disk_reads,
+        r.stats.disk_bytes_read,
+        r.stats.disk_bytes_written,
+        r.stats.store_evictions,
+        r.stats.store_pins,
+        r.stats.peak_resident_bytes,
+        level_bytes,
+    )
+}
+
+#[test]
+fn store_counters_do_not_depend_on_row_order() {
+    // Partition sizes count vector lengths, so what the store spills,
+    // evicts and reads back depends on the partitions' content, which a
+    // row permutation leaves unchanged, and not on the row order.
+    let r = planted();
+    for epsilon in [0.0, 0.05] {
+        let want = store_view(&r, epsilon);
+        for seed in [1, 2] {
+            assert_eq!(
+                store_view(&permute_rows(&r, seed), epsilon),
+                want,
+                "ε={epsilon}: row order {seed} changed the store counters"
+            );
+        }
+    }
 }

@@ -90,13 +90,16 @@ fn churned_engine() -> DatasetEngine {
 }
 
 /// Everything an observer of a streamed discovery can see, rendered to
-/// bytes: the per-level minimal-FD lines in arrival order, then the final
-/// cover and keys. Timings and partition-byte gauges are excluded — they
-/// are wall-clock, not results.
+/// bytes: the per-level resident partition bytes and minimal-FD lines in
+/// arrival order, then the final cover and keys. Level timings are
+/// excluded — they are wall-clock, not results.
 fn observable(levels: &[LevelEvent], result: &TaneResult, schema: &Schema) -> String {
     let mut out = String::new();
     for ev in levels {
-        out.push_str(&format!("level {}:\n", ev.level));
+        out.push_str(&format!(
+            "level {} ({} partition bytes):\n",
+            ev.level, ev.partitions_bytes
+        ));
         for fd in &ev.new_minimal_fds {
             out.push_str(&fd.display_with(schema.names()).to_string());
             out.push('\n');

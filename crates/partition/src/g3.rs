@@ -20,21 +20,32 @@
 //!   removing a set `S` of rows, then on the remaining rows `π_X` and
 //!   `π_{X∪{A}}` coincide, so `e(X) ≤ e(X∪{A}) + |S|/|r|` (each removed row
 //!   lowers `e` by at most `1/|r|`).
+//!
+//! The exact kernel marks `π̂_X` in the product's epoch-stamped probe table
+//! and then reads only the first row of each `π̂_{X∪{A}}` class. That is
+//! enough under its precondition that `π̂_{X∪{A}}` refines `π̂_X`: a class
+//! of `π̂_{X∪{A}}` (size ≥ 2) lies inside one class of `π_X` of size ≥ 2,
+//! so its first row names that `π̂_X` class. The kernel touches
+//! `‖π̂_X‖ + |π̂_{X∪{A}}|` rows, and clears nothing between calls.
 
+use crate::product::ProbeTable;
 use crate::stripped::StrippedPartition;
 
-/// Reusable scratch for [`g3_removed_rows`]: `size_of[row]` = size of the
-/// row's class in `π̂_{X∪{A}}` (0 when the row is in a singleton class).
-#[derive(Debug, Default)]
+/// Reusable scratch for [`g3_removed_rows`].
+#[derive(Debug)]
 pub struct G3Scratch {
-    size_of: Vec<u32>,
+    probe: ProbeTable,
+    /// `largest[i]` = the largest `π̂_{X∪{A}}` class seen so far inside
+    /// `π̂_X` class `i`; 0 between calls.
+    largest: Vec<u32>,
 }
 
 impl G3Scratch {
     /// Allocates scratch for up to `n_rows` rows.
     pub fn new(n_rows: usize) -> G3Scratch {
         G3Scratch {
-            size_of: vec![0; n_rows],
+            probe: ProbeTable::new(n_rows),
+            largest: Vec::new(),
         }
     }
 }
@@ -42,11 +53,14 @@ impl G3Scratch {
 /// Number of rows that must be removed for `X → A` to hold, computed from
 /// `π̂_X` and `π̂_{X∪{A}}` with caller-provided scratch.
 ///
+/// `pi_xa` must refine `pi_x`: every class of `pi_xa` lies inside one
+/// class of `pi_x`. TANE always calls it that way, with `pi_xa` the
+/// partition of a superset of `pi_x`'s attributes. Debug builds assert
+/// the part of the precondition the kernel relies on.
+///
 /// # Panics
 ///
-/// Panics if the partitions disagree on `|r|`. For a meaningful result
-/// `pi_xa` must be (structurally) the product of `pi_x` with some singleton
-/// partition — i.e. refine `pi_x` — which is how TANE always calls it.
+/// Panics if the partitions disagree on `|r|`.
 pub fn g3_removed_rows_with_scratch(
     pi_x: &StrippedPartition,
     pi_xa: &StrippedPartition,
@@ -57,37 +71,27 @@ pub fn g3_removed_rows_with_scratch(
         pi_xa.n_rows(),
         "partitions of different relations"
     );
-    let n = pi_x.n_rows();
-    if scratch.size_of.len() < n {
-        scratch.size_of.resize(n, 0);
+    let G3Scratch { probe, largest } = scratch;
+    let base = probe.mark(pi_x);
+    if largest.len() < pi_x.num_classes() {
+        largest.resize(pi_x.num_classes(), 0);
     }
 
-    // Mark each row of π̂_{XA} with the size of its class.
+    // For each class c of π̂_X, find the largest contained subclass.
     for class in pi_xa.classes() {
-        let size = class.len() as u32;
-        for &row in class {
-            scratch.size_of[row as usize] = size;
+        let i = probe.class_of(class[0], base);
+        debug_assert!(i.is_some(), "π̂_{{X∪A}} must refine π̂_X");
+        if let Some(i) = i {
+            largest[i] = largest[i].max(class.len() as u32);
         }
     }
 
-    // For each class c of π̂_X, keep the largest contained subclass.
+    // Keep that subclass (stripped-away subclasses have size 1) and reset
+    // the entry for the next call.
     let mut removed = 0usize;
-    for class in pi_x.classes() {
-        let mut largest = 1u32; // stripped-away subclasses have size 1
-        for &row in class {
-            let s = scratch.size_of[row as usize];
-            if s > largest {
-                largest = s;
-            }
-        }
-        removed += class.len() - largest as usize;
-    }
-
-    // Reset scratch for the next call.
-    for class in pi_xa.classes() {
-        for &row in class {
-            scratch.size_of[row as usize] = 0;
-        }
+    for (class, largest) in pi_x.classes().zip(largest.iter_mut()) {
+        removed += class.len() - (*largest).max(1) as usize;
+        *largest = 0;
     }
     removed
 }
@@ -174,7 +178,7 @@ mod tests {
     use super::*;
     use crate::product::product;
     use tane_relation::{Relation, Schema, Value};
-    use tane_util::AttrSet;
+    use tane_util::{AttrSet, SplitMix64};
 
     fn figure1() -> Relation {
         let schema = Schema::new(["A", "B", "C", "D"]).unwrap();
@@ -349,5 +353,98 @@ mod tests {
         let p = StrippedPartition::empty(0);
         assert_eq!(g3_error(&p, &p), 0.0);
         assert_eq!(g3_removed_rows(&p, &p), 0);
+    }
+
+    /// A seeded five-column relation of `n` rows mixing low, medium and
+    /// high cardinality with one column where ~90% of rows share a value.
+    fn random_relation(rng: &mut SplitMix64, n: usize) -> Relation {
+        let n32 = n.max(1) as u32;
+        let columns = [2, 5, (n32 / 8).max(1), n32, 3]
+            .into_iter()
+            .enumerate()
+            .map(|(c, distinct)| {
+                (0..n)
+                    .map(|_| {
+                        if c == 4 && rng.bool_with_p(0.9) {
+                            0
+                        } else {
+                            rng.u32_below(distinct)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Relation::from_codes(Schema::new(["A", "B", "C", "D", "E"]).unwrap(), columns).unwrap()
+    }
+
+    /// Every refining pair `(π̂_X, π̂_{X∪{A}})` of a relation, built by
+    /// chained products as TANE builds them.
+    fn refining_pairs(r: &Relation) -> Vec<(StrippedPartition, StrippedPartition, usize)> {
+        let mut pairs = Vec::new();
+        for bits in 0u64..(1 << r.num_attrs()) {
+            let x = AttrSet::from_bits(bits);
+            for a in (0..r.num_attrs()).filter(|&a| !x.contains(a)) {
+                let want = g3_reference(r, &x.iter().collect::<Vec<_>>(), a);
+                pairs.push((
+                    StrippedPartition::from_attr_set(r, x),
+                    StrippedPartition::from_attr_set(r, x.with(a)),
+                    want,
+                ));
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn matches_reference_on_random_refining_pairs() {
+        let mut rng = SplitMix64::new(0x93_0001);
+        let mut scratch = G3Scratch::new(0);
+        for n in [0usize, 1, 2, 5, 40, 150] {
+            let r = random_relation(&mut rng, n);
+            for (px, pxa, want) in refining_pairs(&r) {
+                assert_eq!(g3_removed_rows_with_scratch(&px, &pxa, &mut scratch), want);
+            }
+        }
+    }
+
+    #[test]
+    fn epoch_wrap_refills_the_probe_table() {
+        let mut rng = SplitMix64::new(0x93_0002);
+        let r = random_relation(&mut rng, 150);
+        let mut scratch = G3Scratch::new(r.num_rows());
+        for (j, (px, pxa, want)) in refining_pairs(&r).into_iter().enumerate() {
+            // Even calls mark π̂_X so its last mark is u32::MAX − 1 (when
+            // that is ahead of the current base); odd calls would run past
+            // u32::MAX and refill a table that still holds the stale marks
+            // of earlier calls.
+            let k = px.num_classes() as u32;
+            let target = u32::MAX - if j % 2 == 0 { k } else { k / 2 };
+            scratch.probe.advance_to(target);
+            assert_eq!(g3_removed_rows_with_scratch(&px, &pxa, &mut scratch), want);
+        }
+    }
+
+    #[test]
+    fn one_scratch_serves_relations_of_different_sizes() {
+        let mut rng = SplitMix64::new(0x93_0003);
+        let mut scratch = G3Scratch::new(4);
+        for n in [60usize, 150, 9, 150, 0, 30] {
+            let r = random_relation(&mut rng, n);
+            for (px, pxa, want) in refining_pairs(&r) {
+                assert_eq!(
+                    g3_removed_rows_with_scratch(&px, &pxa, &mut scratch),
+                    want,
+                    "n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must refine")]
+    fn non_refining_pair_trips_the_debug_assertion() {
+        let key = StrippedPartition::from_column(&[0, 1, 2, 3]);
+        let _ = g3_removed_rows(&key, &StrippedPartition::unit(4));
     }
 }

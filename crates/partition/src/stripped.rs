@@ -73,14 +73,15 @@ impl StrippedPartition {
         for &c in codes {
             counts[c as usize] += 1;
         }
-        let mut kept = 0usize;
+        let (mut kept, mut n_classes) = (0usize, 0usize);
         for &cnt in &counts {
             if cnt >= 2 {
                 kept += cnt as usize;
+                n_classes += 1;
             }
         }
         let mut elements = vec![0u32; kept];
-        let mut begins = Vec::new();
+        let mut begins = Vec::with_capacity(n_classes + 1);
         // Offsets within `elements`, only for codes with count >= 2.
         let mut offsets = vec![u32::MAX; max_code + 1];
         let mut pos = 0u32;
@@ -239,12 +240,18 @@ impl StrippedPartition {
         &self.elements[self.begins[i] as usize..self.begins[i + 1] as usize]
     }
 
-    /// Approximate heap footprint in bytes (used by the disk store to decide
-    /// what to evict, and reported by the harness).
+    /// Footprint in bytes: the struct plus `‖π̂_X‖ + |π̂_X| + 1` `u32`s
+    /// (used by the disk store to decide what to evict, and reported by
+    /// the harness).
+    ///
+    /// It counts vector lengths, not capacities, so it depends only on the
+    /// partition's content: never on row order or on which code path built
+    /// it. `from_column`, the product and the store's decoder build
+    /// exactly-sized vectors, so for the partitions a search builds itself
+    /// it is also the real heap footprint.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.elements.capacity() * std::mem::size_of::<u32>()
-            + self.begins.capacity() * std::mem::size_of::<u32>()
+            + (self.elements.len() + self.begins.len()) * std::mem::size_of::<u32>()
     }
 
     /// Validity test of Lemma 2 packaged for readability: given `π̂_X` (self)
@@ -429,6 +436,19 @@ mod tests {
         let small = StrippedPartition::from_column(&[0, 0]);
         let big = StrippedPartition::from_column(&vec![0u32; 10_000]);
         assert!(big.size_bytes() > small.size_bytes());
+    }
+
+    #[test]
+    fn size_bytes_ignores_spare_capacity() {
+        let mut elements = Vec::with_capacity(1024);
+        elements.extend([3, 0, 1, 2]);
+        let padded = StrippedPartition::from_parts(5, elements, vec![0, 2, 4]);
+        let exact = StrippedPartition::from_parts(5, vec![3, 0, 1, 2], vec![0, 2, 4]);
+        assert_eq!(padded.size_bytes(), exact.size_bytes());
+        assert_eq!(
+            exact.size_bytes(),
+            std::mem::size_of::<StrippedPartition>() + 7 * 4
+        );
     }
 
     #[test]

@@ -13,14 +13,12 @@
 //! | Figure 4 | [`figure4::run`] | time vs rows on wbc×n for all three algorithms |
 //! | —        | [`ablations::run`] | (beyond paper) pruning/optimization ablations |
 //! | —        | [`scaling::run`] | (beyond paper) thread scaling of the parallel runtime |
-//! | —        | [`disk_scaling::run`] | (beyond paper) disk-mode funnel vs direct concurrent fetches |
 //! | —        | [`topk::run`] | (beyond paper) bounded-heap ranked search vs the unbounded walk |
 //!
 //! Runners print aligned text tables to stdout and return structured
 //! [`report`] values that `--json` serializes for EXPERIMENTS.md updates.
 
 pub mod ablations;
-pub mod disk_scaling;
 pub mod figure3;
 pub mod figure4;
 pub mod report;

@@ -9,8 +9,7 @@
 
 use std::process::ExitCode;
 use tane_bench::{
-    ablations, disk_scaling, figure3, figure4, report::Report, scaling, table1, table2, table3,
-    topk, Scale,
+    ablations, figure3, figure4, report::Report, scaling, table1, table2, table3, topk, Scale,
 };
 
 const USAGE: &str = "\
@@ -27,19 +26,15 @@ EXPERIMENTS:
     figure4     scale-up in the number of rows (wbc x n)
     ablations   effect of each pruning rule / optimization (beyond paper)
     scaling     thread scaling of the parallel search runtime (beyond paper)
-    disk-scaling disk-mode parent fetches: worker-0 funnel vs direct
-                concurrent segment reads (beyond paper)
     topk        bounded-heap ranked search vs the unbounded walk (beyond paper)
-    all         everything above except scaling, disk-scaling, and topk
+    all         everything above except scaling and topk
 
 OPTIONS:
     --fast            trimmed dataset sizes (seconds instead of minutes)
     --json F          also write the structured results to F
     --assert-scaling  (scaling) fail unless 4-thread wall time beats
-                      2-thread on the memory backend; (disk-scaling) fail
-                      unless direct 8-thread wall time beats the funnel;
-                      both skipped loudly on machines with fewer than
-                      4 cores
+                      2-thread on the memory backend; skipped loudly on
+                      machines with fewer than 4 cores
 ";
 
 fn main() -> ExitCode {
@@ -77,15 +72,6 @@ fn main() -> ExitCode {
             report.scaling = scaling::run(scale);
             if args.iter().any(|a| a == "--assert-scaling") {
                 if let Err(msg) = scaling::assert_scaling(&report.scaling) {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        "disk-scaling" => {
-            report.disk_scaling = disk_scaling::run(scale);
-            if args.iter().any(|a| a == "--assert-scaling") {
-                if let Err(msg) = disk_scaling::assert_direct_beats_funnel(&report.disk_scaling) {
                     eprintln!("{msg}");
                     return ExitCode::FAILURE;
                 }

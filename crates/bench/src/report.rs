@@ -229,11 +229,11 @@ pub struct ScalingRow {
     /// `true` when `threads == 1`: the paper-faithful serial runtime, no
     /// pool dispatch (busy time is the inline compute sections).
     pub serial: bool,
-    /// Time the product stage spent waiting on partition fetches.
+    /// Time the store's `get` spent waiting on segment loads.
     pub fetch_stall_secs: f64,
-    /// Bytes read back from spilled partitions.
+    /// Bytes read back from spilled partitions (thread-invariant).
     pub disk_bytes_read: u64,
-    /// Bytes spilled to disk.
+    /// Bytes spilled to disk (thread-invariant).
     pub disk_bytes_written: u64,
 }
 
@@ -257,68 +257,6 @@ impl ScalingRow {
                 "disk_bytes_written",
                 Json::Num(self.disk_bytes_written as f64),
             ),
-        ])
-    }
-}
-
-/// One disk-mode fetch-path measurement: the same disk-backed search at
-/// one worker count, with parent fetches either funneled through worker 0
-/// (`mode: "funnel"`, the legacy baseline) or issued concurrently by every
-/// worker against the shared segment store (`mode: "direct"`). `n`,
-/// `products`, and all four disk I/O columns must be identical down every
-/// column — the fetch path may only move wall time.
-#[derive(Debug)]
-pub struct DiskScalingRow {
-    /// Fetch path label, `funnel` or `direct`.
-    pub mode: String,
-    /// Worker threads configured for the search.
-    pub threads: usize,
-    /// CPU cores available on the machine that ran the row.
-    pub cores: usize,
-    /// Dependencies found (invariant).
-    pub n: usize,
-    /// Wall-clock seconds.
-    pub secs: f64,
-    /// Time the product stage spent waiting on partition fetches — the
-    /// funnel's serialization shows up here.
-    pub fetch_stall_secs: f64,
-    /// Partition products computed (invariant).
-    pub products: usize,
-    /// Cold partition fetches served from segment files (invariant: phase
-    /// pinning makes the per-level cold set independent of thread count
-    /// and fetch path).
-    pub disk_reads: u64,
-    /// Partitions written to segment files (invariant).
-    pub disk_writes: u64,
-    /// Bytes read back from spilled partitions (invariant).
-    pub disk_bytes_read: u64,
-    /// Bytes spilled to disk (invariant).
-    pub disk_bytes_written: u64,
-    /// Partitions evicted from the resident cache.
-    pub store_evictions: u64,
-    /// Fetches pinned resident by a level's read phase.
-    pub store_pins: u64,
-}
-
-impl DiskScalingRow {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("mode", Json::Str(self.mode.clone())),
-            ("threads", Json::Num(self.threads as f64)),
-            ("cores", Json::Num(self.cores as f64)),
-            ("n", Json::Num(self.n as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("fetch_stall_secs", Json::Num(self.fetch_stall_secs)),
-            ("products", Json::Num(self.products as f64)),
-            ("disk_reads", Json::Num(self.disk_reads as f64)),
-            ("disk_writes", Json::Num(self.disk_writes as f64)),
-            ("disk_bytes_read", Json::Num(self.disk_bytes_read as f64)),
-            (
-                "disk_bytes_written",
-                Json::Num(self.disk_bytes_written as f64),
-            ),
-            ("store_evictions", Json::Num(self.store_evictions as f64)),
-            ("store_pins", Json::Num(self.store_pins as f64)),
         ])
     }
 }
@@ -394,8 +332,6 @@ pub struct Report {
     pub ablations: Vec<AblationRow>,
     /// Thread-scaling rows, if run.
     pub scaling: Vec<ScalingRow>,
-    /// Disk-mode funnel-vs-direct rows, if run.
-    pub disk_scaling: Vec<DiskScalingRow>,
     /// Top-k ranked-search rows, if run.
     pub topk: Vec<TopKRow>,
 }
@@ -441,15 +377,6 @@ impl Report {
             (
                 "scaling",
                 Json::Arr(self.scaling.iter().map(ScalingRow::to_json).collect()),
-            ),
-            (
-                "disk_scaling",
-                Json::Arr(
-                    self.disk_scaling
-                        .iter()
-                        .map(DiskScalingRow::to_json)
-                        .collect(),
-                ),
             ),
             (
                 "topk",
@@ -502,21 +429,6 @@ mod tests {
                 tane_mem: Some(0.5),
                 fdep: None,
             }],
-            disk_scaling: vec![DiskScalingRow {
-                mode: "direct".into(),
-                threads: 8,
-                cores: 8,
-                n: 48,
-                secs: 0.4,
-                fetch_stall_secs: 0.05,
-                products: 1925,
-                disk_reads: 300,
-                disk_writes: 410,
-                disk_bytes_read: 4096,
-                disk_bytes_written: 8192,
-                store_evictions: 120,
-                store_pins: 300,
-            }],
             topk: vec![TopKRow {
                 dataset: "wbc".into(),
                 rows: 699,
@@ -558,10 +470,6 @@ mod tests {
             scaling[0].get("disk_bytes_written").unwrap().as_usize(),
             Some(8192)
         );
-        let disk = parsed.get("disk_scaling").unwrap().as_array().unwrap();
-        assert_eq!(disk[0].get("mode").unwrap().as_str(), Some("direct"));
-        assert_eq!(disk[0].get("disk_reads").unwrap().as_usize(), Some(300));
-        assert_eq!(disk[0].get("store_pins").unwrap().as_usize(), Some(300));
         let topk = parsed.get("topk").unwrap().as_array().unwrap();
         assert_eq!(topk[0].get("k").unwrap().as_usize(), Some(5));
         assert_eq!(topk[0].get("bound_pruned").unwrap().as_usize(), Some(900));

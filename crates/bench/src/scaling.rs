@@ -1,9 +1,10 @@
 //! Thread-scaling experiment (beyond the paper): the same search at 1, 2,
 //! 4, and 8 pool workers, on both storage backends. Two claims are under
-//! test: the dependency count and product count must be identical down
-//! every column (the runtime is deterministic by construction — see
-//! DESIGN.md §9), and the instrumentation (worker busy time, steals,
-//! parks, spin, fetch stall) must explain where the wall-clock goes. On a
+//! test: the dependency count, product count and disk bytes read and
+//! written must be identical down every column (the runtime is
+//! deterministic by construction — see DESIGN.md §9), and the
+//! instrumentation (worker busy time, steals, parks, spin, fetch stall)
+//! must explain where the wall-clock goes. On a
 //! single-core machine the rows legitimately show no speedup; the `cores`
 //! field records the machine so the numbers read as measured, and
 //! [`assert_scaling`] gates CI only where 4 workers can actually run.
@@ -20,15 +21,13 @@ use tane_util::Stopwatch;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Disk cache for the scaling runs: small enough that the generated
-/// dataset's lattice spills and the pipelined fetch path carries real
-/// traffic.
-pub(crate) const SCALING_CACHE_BYTES: usize = 8 << 20;
+/// dataset's lattice spills and partitions are read back from disk.
+const SCALING_CACHE_BYTES: usize = 8 << 20;
 
 /// The generated workload: wide and row-heavy so level-1 construction,
 /// products, and (on disk) fetches all cross the parallel work gate.
-/// `Fast` trims the rows, not the shape. Shared with the disk-scaling
-/// experiment so funnel-vs-direct numbers are comparable to these rows.
-pub(crate) fn workload(scale: Scale) -> Relation {
+/// `Fast` trims the rows, not the shape.
+fn workload(scale: Scale) -> Relation {
     let rows: usize = match scale {
         Scale::Fast => 5_000,
         Scale::Full => 100_000,
@@ -123,7 +122,7 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
 
     let mut rows = Vec::new();
     for (label, storage) in &storages {
-        let mut reference: Option<(usize, usize)> = None;
+        let mut reference: Option<(usize, usize, u64, u64)> = None;
         for &threads in &THREADS {
             // max_lhs bounds the 15-attribute lattice so a cell is seconds,
             // not hours; the bound is identical in every cell, so the
@@ -153,12 +152,17 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
                 disk_bytes_read: result.stats.disk_bytes_read,
                 disk_bytes_written: result.stats.disk_bytes_written,
             };
+            let invariant = (
+                row.n,
+                row.products,
+                row.disk_bytes_read,
+                row.disk_bytes_written,
+            );
             match reference {
-                None => reference = Some((row.n, row.products)),
+                None => reference = Some(invariant),
                 Some(r) => assert_eq!(
-                    r,
-                    (row.n, row.products),
-                    "{label}/threads={threads} changed the output"
+                    r, invariant,
+                    "{label}/threads={threads} changed the output or its disk I/O"
                 ),
             }
             println!(

@@ -53,14 +53,6 @@ pub struct TaneConfig {
     /// independent, so this parallelizes the dominant cost on row-heavy
     /// inputs without changing any result — an extension beyond the paper.
     pub threads: usize,
-    /// Disk storage with `threads > 1` only: route parent fetches through
-    /// the legacy worker-0 fetch funnel (one worker streams parent pairs
-    /// through a bounded channel) instead of letting every worker read the
-    /// shared segment store directly. The funnel is strictly slower — it
-    /// serializes all segment reads behind one thread — and exists as the
-    /// measured baseline for `repro disk-scaling`; results are identical
-    /// either way. Default `false`: direct concurrent fetches.
-    pub fetch_funnel: bool,
 }
 
 impl Default for TaneConfig {
@@ -73,7 +65,6 @@ impl Default for TaneConfig {
             key_pruning: true,
             empty_cplus_pruning: true,
             threads: 1,
-            fetch_funnel: false,
         }
     }
 }
@@ -92,7 +83,6 @@ impl PartialEq for TaneConfig {
             && self.key_pruning == other.key_pruning
             && self.empty_cplus_pruning == other.empty_cplus_pruning
             && self.threads == other.threads
-            && self.fetch_funnel == other.fetch_funnel
     }
 }
 
@@ -123,13 +113,6 @@ impl TaneConfig {
     /// [`disk_quota`](Self::disk_quota)). No effect on memory storage.
     pub fn with_disk_quota(mut self, quota: Arc<DiskQuota>) -> TaneConfig {
         self.disk_quota = Some(quota);
-        self
-    }
-
-    /// Route disk-mode parent fetches through the legacy worker-0 funnel
-    /// (see [`fetch_funnel`](Self::fetch_funnel)); benchmarking baseline.
-    pub fn with_fetch_funnel(mut self) -> TaneConfig {
-        self.fetch_funnel = true;
         self
     }
 
@@ -252,15 +235,13 @@ mod tests {
     }
 
     #[test]
-    fn quota_and_funnel_configs() {
+    fn quota_configs() {
         let q = Arc::new(DiskQuota::new(1024));
         let a = TaneConfig::disk(1 << 20).with_disk_quota(q.clone());
         let b = TaneConfig::disk(1 << 20).with_disk_quota(q);
         assert_eq!(a, b, "same quota object compares equal");
         let c = TaneConfig::disk(1 << 20).with_disk_quota(Arc::new(DiskQuota::new(1024)));
         assert_ne!(a, c, "distinct quota objects are distinct configs");
-        assert!(!TaneConfig::default().fetch_funnel);
-        assert!(TaneConfig::default().with_fetch_funnel().fetch_funnel);
     }
 
     #[test]

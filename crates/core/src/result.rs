@@ -118,7 +118,7 @@ pub struct TaneStats {
     pub parallel_workers: usize,
     /// Work grains executed by the pool across the run — products,
     /// singleton constructions, and batched `g3` tests all count. `0` when
-    /// every batch stayed under the parallel work threshold.
+    /// every batch stayed under the dispatch threshold and ran inline.
     pub parallel_grains: u64,
     /// Successful steals: work batches a worker took from another worker's
     /// deque after draining its own. Scheduling instrumentation only —
@@ -131,17 +131,16 @@ pub struct TaneStats {
     /// one full failed scan a worker parks). High spin relative to busy
     /// means grains are too small for the level shape.
     pub worker_spin: Duration,
-    /// Total time pool workers spent executing dispatched work, summed
-    /// across workers (can exceed `elapsed` when several run at once). The
-    /// serial (`threads == 1`) and under-the-gate inline paths record
-    /// their compute sections here too, so utilization is comparable
-    /// against any worker count.
+    /// Total time the pool spent executing level batches, summed across
+    /// workers (can exceed `elapsed` when several run at once). Batches
+    /// that run inline on the driver — every batch at `threads == 1`, and
+    /// those under the dispatch threshold — count too, so utilization is
+    /// comparable against any worker count. Either way a product batch's
+    /// time includes its partition fetches.
     pub worker_busy: Duration,
-    /// Time the product stage spent waiting on partition fetches: with the
-    /// pipelined disk backend, the blocked-on-channel time of *every*
-    /// worker (attributed per worker in the pool's counters); on the
-    /// serial path, the whole up-front fetch phase. Pipelining engages
-    /// when this drops below the serial baseline for the same search.
+    /// Time the store's `get` waited on segment loads — its own disk
+    /// reads plus single-flight waits on another thread's — summed over
+    /// every thread that fetched. Always 0 on memory storage.
     pub fetch_stall: Duration,
     /// Ranked mode only: candidates skipped *before* their exact `g3` was
     /// computed, because the cheap lower bound `e(X\{A}) − e(X)` could not

@@ -54,14 +54,14 @@ use crate::lattice::{
 };
 use crate::rank::{RankState, TopKEvent};
 use crate::result::{LevelEvent, TaneError, TaneResult, TaneStats};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tane_partition::{
     g3_removed_rows_with_scratch, product_with_scratch, G3Bounds, G3Scratch, MemoryStore,
     PartitionStore, ProductScratch, ReadPhase, SegmentStore, StrippedPartition,
 };
 use tane_relation::Relation;
-use tane_util::{adaptive_grain, canonical_fds, AttrSet, Fd, Slots, Stopwatch, WorkerPool};
+use tane_util::{canonical_fds, AttrSet, Fd, Stopwatch, WorkerPool};
 
 /// Discovers all minimal non-trivial functional dependencies of `relation`
 /// (the paper's central task, Section 1).
@@ -336,7 +336,7 @@ impl Store {
     }
 
     /// `‖π̂‖` of the stored partition, from index metadata alone (no I/O);
-    /// 0 if absent. Drives the parallel-dispatch gate.
+    /// 0 if absent. Feeds the batch cost the pool's dispatch gate reads.
     fn elements_hint(&self, key: AttrSet) -> usize {
         match self {
             Store::Memory(s) => s.elements_hint(key).unwrap_or(0),
@@ -390,69 +390,55 @@ impl Store {
             Store::Disk(s) => (s.evictions(), s.snapshot_pins(), s.oversized_resident()),
         }
     }
-}
 
-/// Minimum estimated work — stripped-partition elements `Σ‖π̂‖` across a
-/// batch — before the batch is dispatched to the worker pool; below this,
-/// dispatch overhead costs more than the work. The old gate compared the
-/// *candidate count*, which kept a ten-product level over millions of rows
-/// serial; product and `g3` cost is proportional to partition elements,
-/// not item count, so that is what the gate must estimate.
-const PARALLEL_MIN_ELEMENTS: usize = 1 << 15;
+    /// Time `get` waited on segment loads; memory storage never waits.
+    fn fetch_stall(&self) -> Duration {
+        match self {
+            Store::Memory(_) => Duration::ZERO,
+            Store::Disk(s) => s.fetch_wait(),
+        }
+    }
+}
 
 /// The per-search parallel runtime: one persistent [`WorkerPool`] plus
 /// per-worker scratch tables, all allocated once per run and reused across
 /// every lattice level (no per-level thread spawns or O(|r|) allocations).
 ///
-/// Determinism argument: workers write results into index-addressed
-/// [`Slots`], so batch outputs are gathered in input order, and every
-/// decision that *consumes* those outputs (C⁺ updates, pruning, FD
-/// recording) stays in the serial driver — the search result is
-/// byte-identical for any worker count.
+/// Every level batch — level-1 construction, the Lemma 3 products, the
+/// exact `g3` tests — takes one path: the pool's indexed map, handed the
+/// batch's estimated `Σ‖π̂‖`, which runs it inline on the driver or
+/// dispatches it to the workers. Determinism argument: either way the
+/// outputs come back in input order, and every decision that *consumes*
+/// them (C⁺ updates, pruning, FD recording) stays in the serial driver —
+/// the search result is byte-identical for any worker count.
 struct ParallelRuntime {
     pool: WorkerPool,
     product_scratches: Vec<Mutex<ProductScratch>>,
     g3_scratches: Vec<Mutex<G3Scratch>>,
-    /// Accumulated time the product stage waited on partition fetches
-    /// (see [`TaneStats::fetch_stall`]).
-    fetch_stall: Duration,
-    /// Route disk-mode parent fetches through the legacy worker-0 funnel
-    /// instead of direct concurrent reads (benchmark baseline; see
-    /// [`TaneConfig::fetch_funnel`]).
-    fetch_funnel: bool,
 }
 
 impl ParallelRuntime {
-    fn new(threads: usize, n_rows: usize, fetch_funnel: bool) -> ParallelRuntime {
-        let pool = WorkerPool::new(threads);
+    fn new(threads: usize, n_rows: usize) -> ParallelRuntime {
         ParallelRuntime {
+            pool: WorkerPool::new(threads),
             product_scratches: (0..threads)
                 .map(|_| Mutex::new(ProductScratch::new(n_rows)))
                 .collect(),
             g3_scratches: (0..threads)
                 .map(|_| Mutex::new(G3Scratch::new(n_rows)))
                 .collect(),
-            pool,
-            fetch_stall: Duration::ZERO,
-            fetch_funnel,
         }
     }
 
-    /// True when a batch of estimated `Σ‖π̂‖ = est_elements` is worth
-    /// dispatching to the pool.
-    fn engage(&self, est_elements: usize) -> bool {
-        self.pool.threads() > 1 && est_elements >= PARALLEL_MIN_ELEMENTS
-    }
-
     /// The level's products, in candidate order, with the caller's serial
-    /// `driver` tail overlapped against the compute whenever the pool is
-    /// engaged: workers chew through the products while the driver thread
-    /// runs `driver()` — the observer event and the approximate-mode
-    /// superkey-closure scan of the *previous* level — and only then joins
-    /// in as worker 0. The driver closure must not read any product
-    /// output; it runs concurrently with them.
+    /// `driver` tail overlapped against the compute whenever the batch is
+    /// dispatched: workers chew through the products while the driver
+    /// thread runs `driver()` — the observer event and the
+    /// approximate-mode superkey-closure scan of the *previous* level — and
+    /// only then joins in as worker 0. The driver closure must not read
+    /// any product output; it runs concurrently with them.
     ///
-    /// Workers fetch their own parents straight from the shared store
+    /// Each product fetches its own parents straight from the shared store
     /// (`get` is `&self`): disk reads from different workers proceed
     /// concurrently as positioned reads of sealed segments, coalesced by
     /// the store's single-flight cache. The whole batch runs inside one
@@ -460,10 +446,10 @@ impl ParallelRuntime {
     /// no matter how many workers ask or in what order — the disk-read
     /// counters stay byte-identical across worker counts, which is what
     /// keeps the §9 determinism argument intact now that fetch *timing* is
-    /// no longer serialized (DESIGN §13).
+    /// not serialized (DESIGN §13).
     fn products_overlapped(
-        &mut self,
-        store: &mut Store,
+        &self,
+        store: &Store,
         candidates: &[NextLevelCandidate],
         driver: impl FnOnce(),
     ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
@@ -472,167 +458,31 @@ impl ParallelRuntime {
             return Ok(Vec::new());
         }
         // Work estimate from index metadata alone — no partition is
-        // touched before the phase opens, so the gate decision is I/O-free
-        // and identical at every thread count.
+        // touched before the phase opens, so the dispatch decision is
+        // I/O-free and identical at every thread count.
         let est: usize = candidates
             .iter()
             .map(|c| store.elements_hint(c.parent_a) + store.elements_hint(c.parent_b))
             .sum();
         let phase = store.begin_read_phase();
-        let result = self.products_inner(store, candidates, est, driver);
-        store.end_read_phase(phase);
-        result
-    }
-
-    fn products_inner(
-        &mut self,
-        store: &Store,
-        candidates: &[NextLevelCandidate],
-        est: usize,
-        driver: impl FnOnce(),
-    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        // Benchmark baseline: the legacy worker-0 fetch funnel, which
-        // serializes every segment read behind one thread.
-        if self.fetch_funnel && self.pool.threads() > 1 && matches!(store, Store::Disk(_)) {
-            driver();
-            return self.pipelined_products(store, candidates);
-        }
-        if self.engage(est) {
-            let pool = &self.pool;
-            let scratches = &self.product_scratches;
-            let grain = adaptive_grain(candidates.len(), est, self.pool.threads());
-            let slots = self.pool.run_indexed_overlapped(
-                candidates.len(),
-                grain,
-                move |worker, i| {
-                    let cand = &candidates[i];
-                    let fetch_sw = Stopwatch::start();
-                    let pair = store
-                        .get(cand.parent_a)
-                        .and_then(|pa| store.get(cand.parent_b).map(|pb| (pa, pb)));
-                    pool.add_stall(worker, fetch_sw.elapsed());
-                    pair.map(|(pa, pb)| {
-                        let mut scratch = scratches[worker].lock().expect("product scratch");
-                        (cand.set, product_with_scratch(&pa, &pb, &mut scratch))
-                    })
-                },
-                driver,
-            );
-            // Slots are gathered in candidate order, so on failure the
-            // error reported is the first failing *candidate*, independent
-            // of which worker hit an error first.
-            let mut out = Vec::with_capacity(slots.len());
-            for slot in slots {
-                out.push(slot?);
-            }
-            Ok(out)
-        } else {
-            driver();
-            let fetch_sw = Stopwatch::start();
-            let mut fetched = Vec::with_capacity(candidates.len());
-            for cand in candidates {
+        let scratches = &self.product_scratches;
+        let products = self.pool.run_indexed_overlapped(
+            candidates.len(),
+            est,
+            |worker, i| {
+                let cand = &candidates[i];
                 let pa = store.get(cand.parent_a)?;
                 let pb = store.get(cand.parent_b)?;
-                fetched.push((cand.set, pa, pb));
-            }
-            self.fetch_stall += fetch_sw.elapsed();
-            let busy_sw = Stopwatch::start();
-            let mut scratch = self.product_scratches[0].lock().expect("product scratch");
-            let out = fetched
-                .iter()
-                .map(|(set, pa, pb)| (*set, product_with_scratch(pa, pb, &mut scratch)))
-                .collect();
-            drop(scratch);
-            self.pool.add_busy(busy_sw.elapsed());
-            Ok(out)
-        }
-    }
-
-    /// The legacy disk-backend pipeline, kept behind
-    /// [`TaneConfig::fetch_funnel`] as the measured baseline for
-    /// `repro disk-scaling`: worker 0 streams parent pairs — in candidate
-    /// order — through a bounded channel; every other worker (and worker 0
-    /// itself, once the last fetch is sent) computes products into
-    /// index-addressed slots. All segment reads serialize behind worker 0,
-    /// which is exactly the bottleneck the shared-read store removes.
-    fn pipelined_products(
-        &mut self,
-        store: &Store,
-        candidates: &[NextLevelCandidate],
-    ) -> Result<Vec<(AttrSet, StrippedPartition)>, TaneError> {
-        type Item = (
-            usize,
-            AttrSet,
-            Arc<StrippedPartition>,
-            Arc<StrippedPartition>,
+                let mut scratch = scratches[worker].lock().expect("product scratch");
+                Ok((cand.set, product_with_scratch(&pa, &pb, &mut scratch)))
+            },
+            driver,
         );
-        let depth = self.pool.threads() * 2;
-        let (tx, rx) = mpsc::sync_channel::<Item>(depth);
-        let tx = Mutex::new(Some(tx));
-        let rx = Mutex::new(rx);
-        let fetch_err: Mutex<Option<TaneError>> = Mutex::new(None);
-        let slots: Slots<(AttrSet, StrippedPartition)> = Slots::new(candidates.len());
-        let pool = &self.pool;
-        let scratches = &self.product_scratches;
-        pool.run(&|worker| {
-            if worker == 0 {
-                let tx = tx.lock().expect("sender").take().expect("fetcher sender");
-                'fetch: for (i, cand) in candidates.iter().enumerate() {
-                    let pair = store
-                        .get(cand.parent_a)
-                        .and_then(|pa| store.get(cand.parent_b).map(|pb| (pa, pb)));
-                    let (pa, pb) = match pair {
-                        Ok(p) => p,
-                        Err(e) => {
-                            *fetch_err.lock().expect("fetch error slot") = Some(e);
-                            break;
-                        }
-                    };
-                    let mut item = (i, cand.set, pa, pb);
-                    // try_send instead of send: if every compute worker
-                    // died of a panic, a blocking send would never return.
-                    loop {
-                        match tx.try_send(item) {
-                            Ok(()) => break,
-                            Err(mpsc::TrySendError::Full(back)) => {
-                                if pool.panicked() {
-                                    break 'fetch;
-                                }
-                                item = back;
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                            Err(mpsc::TrySendError::Disconnected(_)) => break 'fetch,
-                        }
-                    }
-                }
-                // Sender drops here: computers drain the queue and stop.
-            }
-            let mut scratch = scratches[worker].lock().expect("product scratch");
-            loop {
-                let wait_sw = Stopwatch::start();
-                // lint:lock-order(scratches -> rx): each worker holds its
-                // own scratch for the whole drain loop and briefly takes
-                // the shared receiver; nothing ever grabs a scratch while
-                // holding the receiver.
-                let item = rx.lock().expect("receiver").recv();
-                // Blocked-recv time is a fetch stall wherever it happens:
-                // it is attributed to the worker that blocked, so the
-                // pipeline's residual stall is visible per worker, not
-                // just on the fetcher.
-                pool.add_stall(worker, wait_sw.elapsed());
-                match item {
-                    Ok((i, set, pa, pb)) => {
-                        pool.add_claims(worker, 1);
-                        slots.put(i, (set, product_with_scratch(&pa, &pb, &mut scratch)));
-                    }
-                    Err(mpsc::RecvError) => break,
-                }
-            }
-        });
-        if let Some(e) = fetch_err.into_inner().expect("fetch error slot") {
-            return Err(e);
-        }
-        Ok(slots.into_vec())
+        store.end_read_phase(phase);
+        // Outputs are in candidate order, so on failure the error reported
+        // is the first failing *candidate*, independent of which worker hit
+        // an error first.
+        products.into_iter().collect()
     }
 
     /// Level-1 singleton partitions, in attribute order.
@@ -641,19 +491,9 @@ impl ParallelRuntime {
         // Counting sort over a column touches all |r| rows, so the work
         // estimate is |R|·|r| (singleton partitions have ‖π̂‖ ≤ |r|).
         let est = n_attrs.saturating_mul(relation.num_rows());
-        if self.engage(est) {
-            let grain = adaptive_grain(n_attrs, est, self.pool.threads());
-            self.pool.run_indexed(n_attrs, grain, |_, a| {
-                StrippedPartition::from_column(relation.column_codes(a))
-            })
-        } else {
-            let busy_sw = Stopwatch::start();
-            let out = (0..n_attrs)
-                .map(|a| StrippedPartition::from_column(relation.column_codes(a)))
-                .collect();
-            self.pool.add_busy(busy_sw.elapsed());
-            out
-        }
+        self.pool.run_indexed(n_attrs, est, |_, a| {
+            StrippedPartition::from_column(relation.column_codes(a))
+        })
     }
 
     /// Exact `g3` for a batch of undecided validity tests, in input order.
@@ -662,24 +502,11 @@ impl ParallelRuntime {
             .iter()
             .map(|(sub, set)| sub.num_elements() + set.num_elements())
             .sum();
-        if self.engage(est) {
-            let grain = adaptive_grain(pending.len(), est, self.pool.threads());
-            self.pool.run_indexed(pending.len(), grain, |worker, i| {
-                let (pi_sub, pi_set) = &pending[i];
-                let mut scratch = self.g3_scratches[worker].lock().expect("g3 scratch");
-                g3_removed_rows_with_scratch(pi_sub, pi_set, &mut scratch)
-            })
-        } else {
-            let busy_sw = Stopwatch::start();
-            let mut scratch = self.g3_scratches[0].lock().expect("g3 scratch");
-            let out = pending
-                .iter()
-                .map(|(pi_sub, pi_set)| g3_removed_rows_with_scratch(pi_sub, pi_set, &mut scratch))
-                .collect();
-            drop(scratch);
-            self.pool.add_busy(busy_sw.elapsed());
-            out
-        }
+        self.pool.run_indexed(pending.len(), est, |worker, i| {
+            let (pi_sub, pi_set) = &pending[i];
+            let mut scratch = self.g3_scratches[worker].lock().expect("g3 scratch");
+            g3_removed_rows_with_scratch(pi_sub, pi_set, &mut scratch)
+        })
     }
 }
 
@@ -717,7 +544,7 @@ fn run(
     let mut store = Store::from_config(config)?;
     // The whole parallel runtime — pool threads and per-worker scratch
     // tables — is allocated here, once, and reused by every level.
-    let mut runtime = ParallelRuntime::new(config.threads, n_rows, config.fetch_funnel);
+    let runtime = ParallelRuntime::new(config.threads, n_rows);
 
     // L_0 = {∅} with C⁺(∅) = R. Its partition is the one-class π_∅,
     // needed by approximate validity tests at level 1.
@@ -874,20 +701,19 @@ fn run(
             .filter(|(_, s)| s.is_none())
             .map(|(&c, _)| c)
             .collect();
-        // The remaining partitions: parents stream out of the store in
-        // candidate order and multiply per Lemma 3 — on the pool when the
-        // level's estimated element volume warrants it, with disk fetches
-        // pipelined against the products, and the level's serial tail
-        // overlapped against the compute. `partitions_bytes` is captured
-        // before dispatch: the store is untouched until the products are
-        // gathered, so the observer sees the same value as the serial
-        // ordering.
+        // The remaining partitions: each product fetches its parents and
+        // multiplies them per Lemma 3 — on the pool when the level's
+        // estimated element volume warrants it, with the level's serial
+        // tail overlapped against the compute. `partitions_bytes` is
+        // captured before dispatch: the store is untouched until the
+        // products are gathered, so the observer sees the same value as
+        // the serial ordering.
         let partitions_bytes = store.resident_bytes();
         let produced = if rank.is_some() {
             // Ranked mode already ran the tail above.
-            runtime.products_overlapped(&mut store, &missing, || {})?
+            runtime.products_overlapped(&store, &missing, || {})?
         } else {
-            runtime.products_overlapped(&mut store, &missing, || {
+            runtime.products_overlapped(&store, &missing, || {
                 level_tail(
                     config,
                     mode,
@@ -967,9 +793,7 @@ fn run(
     stats.worker_parks = totals.parks;
     stats.worker_spin = totals.spin;
     stats.worker_busy = runtime.pool.busy_time();
-    // Serial fetch phases accumulate on the runtime; the pipelined backend
-    // attributes blocked-recv time per worker into the pool's counters.
-    stats.fetch_stall = runtime.fetch_stall + totals.stall;
+    stats.fetch_stall = store.fetch_stall();
     stats.elapsed = sw.elapsed();
     found_keys.sort_unstable();
     if let Some(r) = rank {

@@ -5,8 +5,9 @@
 //! `threads ∈ {1, 2, 4, 8}` have to produce identical dependencies, keys,
 //! and lattice statistics on every combination of dataset × storage
 //! backend × mode — including the counters (`products`, `validity_tests`,
-//! `g3_*`) that would drift first if scheduling leaked into the search.
-//! The segment store's counters must not depend on row order either.
+//! `g3_*`) that would drift first if scheduling leaked into the search, and
+//! the segment store's I/O, eviction, pin and residency counters (DESIGN
+//! §13). The segment store's counters must not depend on row order either.
 
 use tane_core::{
     discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
@@ -76,8 +77,8 @@ fn planted() -> Relation {
 fn storages() -> Vec<(&'static str, Storage)> {
     vec![
         ("memory", Storage::Memory),
-        // A small cache so partitions actually spill and the pipelined
-        // fetch path runs.
+        // A small cache so partitions actually spill, are evicted, and are
+        // read back.
         (
             "disk",
             Storage::Disk {
@@ -100,9 +101,18 @@ fn invariant_view(r: &TaneResult) -> impl PartialEq + std::fmt::Debug {
         r.stats.g3_exact_computations,
         r.stats.g3_decided_by_bounds,
         r.stats.keys_found,
-        r.stats.disk_reads,
-        r.stats.disk_bytes_read,
-        r.stats.disk_bytes_written,
+        // The store's counters, nested: a tuple's `Debug` stops at 12
+        // fields.
+        (
+            r.stats.disk_reads,
+            r.stats.disk_bytes_read,
+            r.stats.disk_bytes_written,
+            r.stats.disk_writes,
+            r.stats.store_evictions,
+            r.stats.store_pins,
+            r.stats.peak_resident_bytes,
+            r.stats.oversized_resident,
+        ),
     )
 }
 

@@ -22,7 +22,7 @@ fn synth_row(i: usize, rng: &mut SplitMix64) -> Vec<Value> {
     let a = (rng.next_u64() % 120) as i64;
     let b = (rng.next_u64() % 40) as i64;
     let c = a * 40 + b;
-    let d = if rng.next_u64() % 89 == 0 {
+    let d = if rng.next_u64().is_multiple_of(89) {
         (rng.next_u64() % 10_000) as i64 + 100_000
     } else {
         a * 7

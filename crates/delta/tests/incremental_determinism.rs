@@ -28,12 +28,12 @@ fn synth_rows(n: usize) -> Vec<Vec<Value>> {
             let a = (rng.next_u64() % 41) as i64;
             let b = (rng.next_u64() % 13) as i64;
             let c = a * 13 + b;
-            let d = if rng.next_u64() % 97 == 0 {
+            let d = if rng.next_u64().is_multiple_of(97) {
                 (rng.next_u64() % 1000) as i64 + 1000
             } else {
                 a * 3
             };
-            let e = if rng.next_u64() % 10 == 0 {
+            let e = if rng.next_u64().is_multiple_of(10) {
                 7
             } else {
                 i as i64

@@ -41,11 +41,12 @@ pub const CLOCK_SCOPE: &[&str] = &[
     "crates/delta/src",
 ];
 
-/// The modules whose whole purpose is reading the clock: the `Timer`
-/// abstraction and the worker pool's busy/spin/stall-time accounting. Both
-/// only ever *report* durations (TaneStats), never branch on them — in
+/// The modules whose whole purpose is reading the clock: the `Stopwatch`
+/// abstraction and the worker pool's busy/spin-time accounting. Both only
+/// ever *report* durations (TaneStats), never branch on them — in
 /// particular the pool's steal loop is bounded by probe counts and queue
-/// emptiness, not elapsed time.
+/// emptiness, not elapsed time. Everything else times through
+/// `Stopwatch`, e.g. the segment store's fetch-wait counter.
 pub const CLOCK_ALLOWLIST: &[&str] = &["crates/util/src/timing.rs", "crates/util/src/pool.rs"];
 
 const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];

@@ -51,7 +51,8 @@ use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use tane_util::{AttrSet, FxHashMap};
+use std::time::Duration;
+use tane_util::{AttrSet, FxHashMap, Stopwatch};
 
 /// Errors from partition stores (only the disk-backed store can fail).
 #[derive(Debug)]
@@ -448,6 +449,9 @@ pub struct SegmentStore {
     evictions: AtomicU64,
     pins: AtomicU64,
     oversized: AtomicU64,
+    /// Nanoseconds `get` spent waiting on segment loads (see
+    /// [`fetch_wait`](SegmentStore::fetch_wait)).
+    fetch_wait_nanos: AtomicU64,
 }
 
 impl SegmentStore {
@@ -515,6 +519,7 @@ impl SegmentStore {
             evictions: AtomicU64::new(0),
             pins: AtomicU64::new(0),
             oversized: AtomicU64::new(0),
+            fetch_wait_nanos: AtomicU64::new(0),
         })
     }
 
@@ -565,6 +570,21 @@ impl SegmentStore {
     // increment in evict_to_budget.
     pub fn oversized_resident(&self) -> u64 {
         self.oversized.load(Ordering::Acquire)
+    }
+
+    /// Time [`get`](PartitionStore::get) spent waiting on segment loads —
+    /// its own miss reads plus single-flight waits on another reader's —
+    /// summed over every calling thread. Cache hits add nothing.
+    // ORDERING: Acquire — stats-published; pairs with the Release
+    // increment in add_fetch_wait (see disk_reads).
+    pub fn fetch_wait(&self) -> Duration {
+        Duration::from_nanos(self.fetch_wait_nanos.load(Ordering::Acquire))
+    }
+
+    // ORDERING: Release — pairs with the Acquire load in fetch_wait.
+    fn add_fetch_wait(&self, since: Stopwatch) {
+        self.fetch_wait_nanos
+            .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Release);
     }
 
     /// Number of live (non-doomed) segment files.
@@ -1169,16 +1189,20 @@ impl PartitionStore for SegmentStore {
                     // their published result instead of a duplicate read.
                     let ls = ls.clone();
                     drop(guard);
+                    let waited = Stopwatch::start();
                     let mut done = ls.done.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
+                    let result = loop {
                         match &*done {
-                            Some(Ok(p)) => return Ok(p.clone()),
-                            Some(Err(e)) => return Err(clone_error(e)),
+                            Some(Ok(p)) => break Ok(p.clone()),
+                            Some(Err(e)) => break Err(clone_error(e)),
                             None => {
                                 done = ls.cv.wait(done).unwrap_or_else(|e| e.into_inner());
                             }
                         }
-                    }
+                    };
+                    drop(done);
+                    self.add_fetch_wait(waited);
+                    return result;
                 }
                 None => {
                     let Some(loc) = self.index.get(&key).copied() else {
@@ -1205,7 +1229,10 @@ impl PartitionStore for SegmentStore {
             }
         };
         let (ls, loc) = slot;
-        self.load_and_publish(key, loc, &ls)
+        let loading = Stopwatch::start();
+        let result = self.load_and_publish(key, loc, &ls);
+        self.add_fetch_wait(loading);
+        result
     }
 
     fn remove(&mut self, key: AttrSet) {

@@ -352,17 +352,19 @@ mod tests {
         let m = Metrics::new(4);
         m.requests_total.fetch_add(3, Ordering::Relaxed);
         m.jobs_completed.fetch_add(2, Ordering::Relaxed);
-        let mut stats = TaneStats::default();
-        stats.level_times = vec![Duration::from_millis(10), Duration::from_millis(5)];
-        stats.disk_bytes_written = 1024;
-        stats.store_evictions = 7;
-        stats.store_pins = 9;
-        stats.oversized_resident = 1;
-        stats.parallel_grains = 12;
-        stats.worker_steals = 3;
-        stats.worker_parks = 5;
-        stats.worker_spin = Duration::from_millis(2);
-        stats.worker_busy = Duration::from_millis(40);
+        let mut stats = TaneStats {
+            level_times: vec![Duration::from_millis(10), Duration::from_millis(5)],
+            disk_bytes_written: 1024,
+            store_evictions: 7,
+            store_pins: 9,
+            oversized_resident: 1,
+            parallel_grains: 12,
+            worker_steals: 3,
+            worker_parks: 5,
+            worker_spin: Duration::from_millis(2),
+            worker_busy: Duration::from_millis(40),
+            ..TaneStats::default()
+        };
         m.record_search(&stats);
         stats.level_times = vec![Duration::from_millis(10)];
         m.record_search(&stats);

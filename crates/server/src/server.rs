@@ -1164,11 +1164,22 @@ const DISCOVER_FIELDS: &[(&str, bool)] = &[
 ];
 
 /// Search worker threads when a request does not say: all available cores.
+/// Also the most a request may ask for.
 fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
 fn parse_discover(body: &[u8], versioned: bool) -> Result<DiscoverRequest, BodyError> {
+    parse_discover_on(body, versioned, default_threads())
+}
+
+/// [`parse_discover`] on a host with `cores` cores, the default and the
+/// ceiling for `threads`.
+fn parse_discover_on(
+    body: &[u8],
+    versioned: bool,
+    cores: usize,
+) -> Result<DiscoverRequest, BodyError> {
     let text = std::str::from_utf8(body).map_err(|_| BodyError::invalid("body is not UTF-8"))?;
     let doc = Json::parse(text).map_err(|e| BodyError::invalid(format!("bad JSON: {e}")))?;
     let Json::Obj(members) = &doc else {
@@ -1252,15 +1263,22 @@ fn parse_discover(body: &[u8], versioned: bool) -> Result<DiscoverRequest, BodyE
     }
     // Default to every available core: the search runtime is deterministic
     // in the worker count, so parallelism is free to switch on. Explicit
-    // `threads: 1` remains the paper-faithful serial run.
+    // `threads: 1` remains the paper-faithful serial run. More workers than
+    // cores buys nothing, and the pool allocates per worker, so a request
+    // may not ask for more.
     let threads = match doc.get("threads") {
-        None => default_threads(),
+        None => cores,
         Some(v) => {
             let t = v
                 .as_usize()
                 .ok_or_else(|| BodyError::invalid("`threads` must be a positive integer"))?;
             if t == 0 {
                 return Err(BodyError::invalid("`threads` must be at least 1"));
+            }
+            if t > cores {
+                return Err(BodyError::invalid(format!(
+                    "`threads` must be at most {cores}, this host's core count"
+                )));
             }
             t
         }
@@ -1598,9 +1616,10 @@ mod tests {
         let s = parse_discover(br#"{"dataset":"wbc","threads":1}"#, false).unwrap();
         assert_eq!(s.threads, 1);
 
-        let s = parse_discover(
+        let s = parse_discover_on(
             br#"{"dataset":"wbc","epsilon":0.05,"max_lhs":3,"storage":"disk","cache_mb":16,"threads":2}"#,
             false,
+            2,
         )
         .unwrap();
         assert_eq!(s.mode, DiscoverMode::Approx(0.05));
@@ -1628,6 +1647,22 @@ mod tests {
             .contains("[0,1]"));
         assert!(parse_discover(br#"{"dataset":"x","storage":"tape"}"#, false).is_err());
         assert!(parse_discover(br#"{"dataset":"x","threads":0}"#, false).is_err());
+        // No more workers than the host has cores: the pool allocates per
+        // worker, so a huge count must be a typed error, not an abort.
+        let over = format!(r#"{{"dataset":"x","threads":{}}}"#, default_threads() + 1);
+        for body in [
+            over.as_bytes(),
+            br#"{"dataset":"x","threads":1000000000000}"#,
+        ] {
+            let err = parse_discover(body, true).unwrap_err();
+            assert_eq!(err.code, "invalid-body");
+            assert!(
+                err.message
+                    .contains(&format!("at most {}", default_threads())),
+                "the message names the limit: {}",
+                err.message
+            );
+        }
         assert!(parse_discover(br#"{"dataset":"x","cache_mb":4}"#, false).is_err());
     }
 

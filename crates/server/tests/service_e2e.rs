@@ -155,7 +155,7 @@ fn distinct_queries_get_distinct_cache_entries() {
         "different key, no reuse"
     );
     // Approximate discovery at eps > 0 finds at least the exact cover.
-    assert!(fds_of(&approx).len() >= 1);
+    assert!(!fds_of(&approx).is_empty());
     assert_ne!(fds_of(&exact), fds_of(&approx));
 
     // Storage backend is normalized out of the key: a disk query is served
@@ -253,7 +253,7 @@ fn overload_sheds_with_429_not_memory() {
     }
     let results: Vec<u16> = statuses.into_iter().map(|t| t.join().unwrap()).collect();
     assert!(
-        results.iter().any(|&s| s == 429),
+        results.contains(&429),
         "queue overflow must answer 429, got {results:?}"
     );
     assert!(
@@ -334,6 +334,35 @@ fn health_and_errors() {
     assert_eq!(status, 413);
     small.shutdown();
     small.wait();
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
+fn hostile_thread_count_is_a_typed_error() {
+    // The search pool allocates per worker, so a thread count far beyond
+    // the host's cores must be refused up front, and the server must keep
+    // answering afterwards.
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let (status, body) = call(
+        addr,
+        "POST",
+        "/v1/discover",
+        br#"{"dataset":"wbc","threads":1000000000000}"#,
+    );
+    assert_eq!(status, 400);
+    let error = body.get("error").expect("error envelope");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("invalid-body")
+    );
+    assert!(error
+        .get("message")
+        .and_then(Json::as_str)
+        .is_some_and(|m| m.contains("at most")));
+    let (status, _) = call(addr, "GET", "/v1/health", b"");
+    assert_eq!(status, 200);
     server.shutdown();
     server.wait();
 }

@@ -21,9 +21,9 @@
 //! * [`rng`] — a SplitMix64 PRNG for the synthetic dataset generators
 //!   (`rand` is likewise unavailable offline).
 //! * [`pool`] — a persistent worker pool with per-worker work-stealing
-//!   deques, condvar parking, and order-preserving output slots; the
-//!   parallel search runtime is built on it (std threads + atomics +
-//!   condvars only).
+//!   deques, condvar parking, and order-preserving output slots; batches
+//!   too cheap to dispatch run inline on the caller. The parallel search
+//!   runtime is built on it (std threads + atomics + condvars only).
 
 pub mod attrset;
 pub mod fd;
@@ -37,6 +37,6 @@ pub use attrset::{AttrSet, AttrSetIter, MAX_ATTRS};
 pub use fd::{canonical_fds, Fd};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::{Json, JsonError};
-pub use pool::{adaptive_grain, PoolCounters, Slots, WorkerPool};
+pub use pool::{PoolCounters, WorkerPool};
 pub use rng::SplitMix64;
 pub use timing::Stopwatch;

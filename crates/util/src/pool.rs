@@ -24,35 +24,43 @@
 //! dispatch instead of spinning. Steals, claims, parks, and the time spent
 //! hunting for work are counted per worker (see [`PoolCounters`]).
 //!
+//! Not every batch is worth a dispatch. [`WorkerPool::run_indexed`] takes
+//! the batch's estimated cost and makes the whole decision: on a one-worker
+//! pool, or below `DISPATCH_MIN_COST`, the batch is a plain in-order map
+//! on the caller — no slots, no deques, one busy-time reading per batch.
+//!
 //! ## Determinism
 //!
 //! Parallel execution must not change any search result. Work items write
-//! into an index-addressed [`Slots`] vector, so the gathered output is in
+//! into an index-addressed `Slots` vector, so the gathered output is in
 //! input order regardless of which worker computed what — steal order (and
 //! the probe RNG) can only change *who* computes a slot, never *what* the
-//! slot holds or the order it is consumed in. The serial and parallel paths
-//! are byte-identical downstream.
+//! slot holds or the order it is consumed in. An inline batch is the same
+//! in-order map, so both ways of running a batch are byte-identical
+//! downstream.
 //!
 //! The pool is std-only: `std::thread`, atomics, mutexes, and condvars.
 
 use crate::rng::SplitMix64;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A dispatched job: a borrowed closure with its lifetime erased.
 ///
-/// Safety: [`WorkerPool::run`] does not return until every worker has
-/// finished the epoch, so the pointee outlives every dereference.
+/// Safety: `WorkerPool::run_overlapped` does not return until every
+/// worker has finished the epoch, so the pointee outlives every
+/// dereference.
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
 #[allow(unsafe_code)]
 // SAFETY: the pointer is only dereferenced by pool workers while the
-// `run` call that published it is still blocked waiting for them, and the
-// pointee is `Sync`, so sharing the pointer across threads is sound.
+// `run_overlapped` call that published it is still blocked waiting for
+// them, and the pointee is `Sync`, so sharing the pointer across threads
+// is sound.
 unsafe impl Send for JobPtr {}
 
 /// Dispatch state shared between the owner and the workers.
@@ -76,7 +84,6 @@ struct CounterCells {
     steals: AtomicU64,
     parks: AtomicU64,
     spin_nanos: AtomicU64,
-    stall_nanos: AtomicU64,
 }
 
 struct Shared {
@@ -88,21 +95,17 @@ struct Shared {
     /// Signals the owner: a worker finished the epoch.
     done_cv: Condvar,
     /// Total nanoseconds workers (the caller included) spent executing job
-    /// bodies, across the pool's lifetime.
+    /// bodies and inline batches, across the pool's lifetime.
     busy_nanos: AtomicU64,
-    /// Per-worker steal/claim/park/spin/stall counters, index = worker id.
+    /// Per-worker steal/claim/park/spin counters, index = worker id.
     counters: Vec<CounterCells>,
-    /// True once any worker body has panicked (sticky; lets cooperating
-    /// producers stop feeding a pipeline whose consumers died).
-    panicked: AtomicBool,
 }
 
 /// A snapshot of one worker's (or, summed, the pool's) scheduling
 /// instrumentation.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounters {
-    /// Work grains executed: deque pops plus externally counted grains
-    /// (see [`WorkerPool::add_claims`]).
+    /// Work grains executed: deque pops (inline batches claim none).
     pub claims: u64,
     /// Successful steals — batches taken from another worker's deque.
     pub steals: u64,
@@ -112,10 +115,6 @@ pub struct PoolCounters {
     /// Bounded by construction: a worker gives up an epoch after one full
     /// failed scan of every deque instead of spinning.
     pub spin: Duration,
-    /// Time spent blocked on an external feed (e.g. the disk-fetch
-    /// pipeline's channel), attributed to the worker that blocked — see
-    /// [`WorkerPool::add_stall`].
-    pub stall: Duration,
 }
 
 impl PoolCounters {
@@ -128,7 +127,6 @@ impl PoolCounters {
         self.steals += cells.steals.load(Ordering::Acquire);
         self.parks += cells.parks.load(Ordering::Acquire);
         self.spin += Duration::from_nanos(cells.spin_nanos.load(Ordering::Acquire));
-        self.stall += Duration::from_nanos(cells.stall_nanos.load(Ordering::Acquire));
     }
 }
 
@@ -144,12 +142,12 @@ const RANDOM_PROBES: usize = 2;
 
 /// A fixed pool of `threads − 1` worker threads plus the calling thread.
 ///
-/// [`run`](WorkerPool::run) executes one closure on every worker
-/// concurrently (worker ids `0..threads`, the caller being worker 0) and
-/// blocks until all of them return. Worker panics are captured and
-/// re-raised on the caller after the epoch completes, and the pool remains
-/// usable afterwards. With `threads == 1` no threads are spawned and every
-/// job runs inline on the caller.
+/// [`run_indexed`](WorkerPool::run_indexed) maps a batch of indices either
+/// inline on the caller or across every worker (worker ids `0..threads`,
+/// the caller being worker 0), blocking until all results are in. Worker
+/// panics are captured and re-raised on the caller after the epoch
+/// completes, and the pool remains usable afterwards. With `threads == 1`
+/// no threads are spawned and every batch runs inline.
 pub struct WorkerPool {
     shared: std::sync::Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -176,7 +174,6 @@ impl WorkerPool {
             done_cv: Condvar::new(),
             busy_nanos: AtomicU64::new(0),
             counters: (0..threads).map(|_| CounterCells::default()).collect(),
-            panicked: AtomicBool::new(false),
         });
         let handles = (1..threads)
             .map(|id| {
@@ -199,54 +196,22 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Runs `body(worker_id)` on every worker concurrently and returns when
-    /// all invocations have finished. The caller participates as worker 0.
-    ///
-    /// # Panics
-    ///
-    /// If any invocation panics, the (first) panic is re-raised here after
-    /// every worker has finished; the pool stays usable.
-    pub fn run(&self, body: &(dyn Fn(usize) + Sync)) {
-        self.run_overlapped(body, || {});
-    }
-
-    /// [`run`](WorkerPool::run), except the caller first executes `driver`
-    /// *while the spawned workers are already processing the job*, and only
-    /// then joins in as worker 0. This is the level-overlap primitive: the
-    /// search dispatches the next level's partition products here and runs
-    /// the current level's serial driver tail (observer event, superkey
-    /// closure) concurrently on the calling thread.
-    ///
-    /// With `threads == 1` the call degenerates to `driver(); body(0)` —
-    /// the serial order, which the overlap must be equivalent to.
+    /// Runs `body(worker_id)` on every worker concurrently, except that the
+    /// caller first executes `driver` *while the spawned workers are
+    /// already processing the job*, and only then joins in as worker 0.
+    /// This is the level-overlap primitive: the search dispatches the next
+    /// level's partition products here and runs the current level's serial
+    /// driver tail (observer event, superkey closure) concurrently on the
+    /// calling thread.
     ///
     /// # Panics
     ///
     /// Panics from `driver` or any `body` invocation are re-raised after
     /// the epoch fully drains (`driver`'s first); the pool stays usable.
     #[allow(unsafe_code)] // audited: the lifetime-erasing transmute below
-                          // ORDERING: Release on busy_nanos and the panicked flag — pairs with
-                          // the Acquire loads in busy_time/panicked; the epoch-drain mutex
-                          // already orders everything else.
-    pub fn run_overlapped(&self, body: &(dyn Fn(usize) + Sync), driver: impl FnOnce()) {
-        if self.handles.is_empty() {
-            let drove = catch_unwind(AssertUnwindSafe(driver));
-            if drove.is_ok() {
-                let t = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| body(0)));
-                self.shared
-                    .busy_nanos
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
-                if let Err(payload) = outcome {
-                    self.shared.panicked.store(true, Ordering::Release);
-                    resume_unwind(payload);
-                }
-            }
-            if let Err(payload) = drove {
-                resume_unwind(payload);
-            }
-            return;
-        }
+                          // ORDERING: Release on busy_nanos — pairs with the Acquire load in
+                          // busy_time; the epoch-drain mutex already orders everything else.
+    fn run_overlapped(&self, body: &(dyn Fn(usize) + Sync), driver: impl FnOnce()) {
         {
             // SAFETY: the trait-object lifetime is erased to publish the
             // borrowed closure to the workers; this function does not
@@ -275,9 +240,6 @@ impl WorkerPool {
             // still drain before the panic may unwind past the borrow.
             Ok(())
         };
-        if caller.is_err() {
-            self.shared.panicked.store(true, Ordering::Release);
-        }
         let worker_panic = {
             let mut state = self.shared.state.lock().expect("pool state");
             while state.remaining > 0 {
@@ -297,45 +259,63 @@ impl WorkerPool {
         }
     }
 
-    /// Computes `f(worker_id, i)` for every `i in 0..n`, `grain` indices
-    /// per work item, and returns the results in index order —
-    /// byte-identical to a serial `(0..n).map(|i| f(0, i))`.
+    /// Computes `f(worker_id, i)` for every `i in 0..n` and returns the
+    /// results in index order — byte-identical to a serial
+    /// `(0..n).map(|i| f(0, i))`. `est_cost` is the batch's estimated work
+    /// (for partition work: Σ‖π̂‖ elements) and makes the whole dispatch
+    /// decision:
     ///
-    /// Scheduling: the grains are pre-split into per-worker deques
-    /// (contiguous blocks); workers pop their own deque front and steal the
-    /// back half of a victim's when it runs dry (see the module docs).
+    /// * one worker, or `est_cost` below `DISPATCH_MIN_COST` (32 Ki): the
+    ///   batch runs inline on the caller as exactly that serial map;
+    /// * otherwise the indices are cut into `adaptive_grain`-sized grains,
+    ///   pre-split into per-worker deques (contiguous blocks); workers pop
+    ///   their own deque front and steal the back half of a victim's when
+    ///   it runs dry (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if `grain == 0`, and re-raises worker panics (see
-    /// [`run`](WorkerPool::run)).
-    pub fn run_indexed<T, F>(&self, n: usize, grain: usize, f: F) -> Vec<T>
+    /// Re-raises panics from `f` (a dispatched batch does so once every
+    /// worker has finished the epoch; the pool stays usable).
+    pub fn run_indexed<T, F>(&self, n: usize, est_cost: usize, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,
     {
-        self.run_indexed_overlapped(n, grain, f, || {})
+        self.run_indexed_overlapped(n, est_cost, f, || {})
     }
 
     /// [`run_indexed`](WorkerPool::run_indexed) with a serial `driver`
     /// closure that the caller executes *before* joining the computation —
-    /// see [`run_overlapped`](WorkerPool::run_overlapped). The driver must
-    /// not depend on any `f` output (it runs concurrently with them).
-    // ORDERING: Release on every per-worker counter increment — pairs with
-    // the Acquire loads in PoolCounters::accumulate (stats are results).
-    pub fn run_indexed_overlapped<T, F, D>(&self, n: usize, grain: usize, f: F, driver: D) -> Vec<T>
+    /// concurrently with the spawned workers when the batch is dispatched,
+    /// simply first when it runs inline. The driver must not depend on any
+    /// `f` output.
+    // ORDERING: Release on every per-worker counter increment and on the
+    // inline busy time — pairs with the Acquire loads in
+    // PoolCounters::accumulate and busy_time (stats are results).
+    pub fn run_indexed_overlapped<T, F, D>(
+        &self,
+        n: usize,
+        est_cost: usize,
+        f: F,
+        driver: D,
+    ) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, usize) -> T + Sync,
         D: FnOnce(),
     {
-        assert!(grain >= 1, "grain must be at least 1");
-        let slots = Slots::new(n);
-        if n == 0 {
-            driver();
-            return slots.into_vec();
-        }
         let threads = self.threads;
+        if threads == 1 || est_cost < DISPATCH_MIN_COST {
+            driver();
+            let t = Instant::now();
+            let out = (0..n).map(|i| f(0, i)).collect();
+            self.shared
+                .busy_nanos
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
+            return out;
+        }
+        let grain = adaptive_grain(n, est_cost, threads);
+        let slots = Slots::new(n);
         let n_grains = n.div_ceil(grain);
         // Contiguous grain blocks per worker: worker w owns grains
         // [w·G/T, (w+1)·G/T). Deques are bounded by construction — the
@@ -408,42 +388,6 @@ impl WorkerPool {
         slots.into_vec()
     }
 
-    /// Counts `n` externally executed work grains against `worker` (for
-    /// job shapes that distribute work themselves, e.g. a channel-fed
-    /// pipeline).
-    // ORDERING: Release — pairs with the Acquire loads in accumulate;
-    // externally attributed grains are stats, hence result-exact.
-    pub fn add_claims(&self, worker: usize, n: u64) {
-        self.shared.counters[worker]
-            .claims
-            .fetch_add(n, Ordering::Release);
-    }
-
-    /// Attributes `stall` time spent blocked on an external feed (channel
-    /// recv, fetch wait) to `worker` — every worker's stalls are recorded,
-    /// not just the fetcher's.
-    // ORDERING: Release — pairs with the Acquire loads in accumulate.
-    pub fn add_stall(&self, worker: usize, stall: Duration) {
-        self.shared.counters[worker]
-            .stall_nanos
-            .fetch_add(stall.as_nanos() as u64, Ordering::Release);
-    }
-
-    /// Counts serial compute time executed outside a dispatch (the
-    /// `threads == 1` search path and under-the-gate inline batches), so
-    /// busy time stays comparable across worker counts.
-    // ORDERING: Release — pairs with the Acquire load in busy_time.
-    pub fn add_busy(&self, busy: Duration) {
-        self.shared
-            .busy_nanos
-            .fetch_add(busy.as_nanos() as u64, Ordering::Release);
-    }
-
-    /// Work grains claimed over the pool's lifetime (all workers).
-    pub fn grains_executed(&self) -> u64 {
-        self.totals().claims
-    }
-
     /// Summed scheduling counters across all workers.
     pub fn totals(&self) -> PoolCounters {
         let mut t = PoolCounters::default();
@@ -453,35 +397,13 @@ impl WorkerPool {
         t
     }
 
-    /// Per-worker scheduling counters, index = worker id.
-    pub fn worker_counters(&self) -> Vec<PoolCounters> {
-        self.shared
-            .counters
-            .iter()
-            .map(|cells| {
-                let mut t = PoolCounters::default();
-                t.accumulate(cells);
-                t
-            })
-            .collect()
-    }
-
-    /// Total time workers spent executing job bodies over the pool's
-    /// lifetime (sums across workers, so it can exceed wall-clock).
+    /// Total time workers spent executing job bodies and inline batches
+    /// over the pool's lifetime (sums across workers, so it can exceed
+    /// wall-clock).
     // ORDERING: Acquire — busy time is reported in TaneStats; pairs with
     // the Release fetch_adds at every body-timing site.
     pub fn busy_time(&self) -> Duration {
         Duration::from_nanos(self.shared.busy_nanos.load(Ordering::Acquire))
-    }
-
-    /// True once any job body has panicked on any worker. Sticky; lets a
-    /// producer worker bail out of a bounded pipeline instead of blocking
-    /// forever on consumers that died.
-    // ORDERING: Acquire — the sticky flag gates result-affecting control
-    // flow (a producer bails out of the pipeline); pairs with the Release
-    // stores at the panic sites so bailing implies seeing the panic.
-    pub fn panicked(&self) -> bool {
-        self.shared.panicked.load(Ordering::Acquire)
     }
 }
 
@@ -495,7 +417,7 @@ impl WorkerPool {
 /// level differ by orders of magnitude, so fewer than a handful of grains
 /// per worker re-creates static-chunk imbalance). Deterministic: a pure
 /// function of the batch shape, never of timing.
-pub fn adaptive_grain(n_items: usize, est_cost: usize, threads: usize) -> usize {
+fn adaptive_grain(n_items: usize, est_cost: usize, threads: usize) -> usize {
     if n_items == 0 {
         return 1;
     }
@@ -508,6 +430,13 @@ pub fn adaptive_grain(n_items: usize, est_cost: usize, threads: usize) -> usize 
 /// Estimated work units (stripped-partition elements) to aim for per
 /// grain; one grain then costs enough to dwarf a deque pop.
 pub const GRAIN_TARGET_COST: usize = 1 << 14;
+
+/// Minimum estimated work (stripped-partition elements `Σ‖π̂‖` across a
+/// batch) before a batch is dispatched to the workers; below this, waking
+/// them costs more than the work. Product and `g3` cost is proportional to
+/// partition elements, not item count, so a ten-product level over
+/// millions of rows still dispatches.
+const DISPATCH_MIN_COST: usize = 1 << 15;
 
 /// Minimum grains per worker the adaptive split aims for, so stealing has
 /// something to balance with.
@@ -526,9 +455,9 @@ impl Drop for WorkerPool {
     }
 }
 
-#[allow(unsafe_code)] // audited: dereferences the pointer `run` published
-                      // ORDERING: Release on busy_nanos, the panicked flag, and the park counter
-                      // — pairs with the Acquire loads in busy_time/panicked/accumulate.
+#[allow(unsafe_code)] // audited: dereferences the pointer `run_overlapped` published
+                      // ORDERING: Release on busy_nanos and the park counter — pairs with
+                      // the Acquire loads in busy_time/accumulate.
 fn worker_loop(shared: &Shared, id: usize) {
     let mut last_epoch = 0u64;
     let mut state = shared.state.lock().expect("pool state");
@@ -538,7 +467,7 @@ fn worker_loop(shared: &Shared, id: usize) {
         }
         if state.epoch != last_epoch {
             last_epoch = state.epoch;
-            // SAFETY: `run` published this pointer and blocks until
+            // SAFETY: `run_overlapped` published this pointer and blocks until
             // `remaining` reaches zero, which happens strictly after this
             // worker's decrement below — the closure is alive throughout.
             let body = unsafe { &*state.job.as_ref().expect("job for new epoch").0 };
@@ -550,7 +479,6 @@ fn worker_loop(shared: &Shared, id: usize) {
                 .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Release);
             state = shared.state.lock().expect("pool state");
             if let Err(payload) = outcome {
-                shared.panicked.store(true, Ordering::Release);
                 if state.panic.is_none() {
                     state.panic = Some(payload);
                 }
@@ -574,30 +502,20 @@ fn worker_loop(shared: &Shared, id: usize) {
 ///
 /// Each slot is its own mutex, so concurrent writes to distinct indices
 /// never contend; writing the same index twice keeps the later value.
-pub struct Slots<T> {
+struct Slots<T> {
     cells: Vec<Mutex<Option<T>>>,
 }
 
 impl<T: Send> Slots<T> {
     /// `n` empty slots.
-    pub fn new(n: usize) -> Slots<T> {
+    fn new(n: usize) -> Slots<T> {
         Slots {
             cells: (0..n).map(|_| Mutex::new(None)).collect(),
         }
     }
 
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True iff the vector has zero slots.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Fills slot `i`.
-    pub fn put(&self, i: usize, value: T) {
+    fn put(&self, i: usize, value: T) {
         *self.cells[i].lock().expect("slot") = Some(value);
     }
 
@@ -606,7 +524,7 @@ impl<T: Send> Slots<T> {
     /// # Panics
     ///
     /// Panics if any slot was never filled.
-    pub fn into_vec(self) -> Vec<T> {
+    fn into_vec(self) -> Vec<T> {
         self.cells
             .into_iter()
             .enumerate()
@@ -624,12 +542,18 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    /// A cost that makes a batch of `n` items dispatch with one-index
+    /// grains: every item alone reaches the grain target.
+    fn dispatched(n: usize) -> usize {
+        n * GRAIN_TARGET_COST
+    }
+
     #[test]
     fn run_indexed_matches_serial_order() {
         let pool = WorkerPool::new(4);
-        let out = pool.run_indexed(100, 3, |_worker, i| i * i);
+        let out = pool.run_indexed(100, dispatched(100), |_worker, i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        assert!(pool.grains_executed() > 0);
+        assert!(pool.totals().claims > 0);
         assert!(pool.busy_time() > Duration::ZERO);
     }
 
@@ -638,16 +562,19 @@ mod tests {
         // Two searches' worth of dispatches on one pool: the same threads
         // serve both (thread count is observable via distinct worker ids).
         let pool = WorkerPool::new(3);
-        let first = pool.run_indexed(50, 1, |_w, i| i + 1);
-        let second = pool.run_indexed(10, 4, |_w, i| i * 2);
+        let first = pool.run_indexed(50, dispatched(50), |_w, i| i + 1);
+        let second = pool.run_indexed(10, dispatched(10), |_w, i| i * 2);
         assert_eq!(first, (1..=50).collect::<Vec<_>>());
         assert_eq!(second, (0..10).map(|i| i * 2).collect::<Vec<_>>());
         let seen = Mutex::new(std::collections::BTreeSet::new());
-        pool.run(&|worker| {
-            seen.lock().unwrap().insert(worker);
-            // Hold every worker briefly so all three must participate.
-            std::thread::sleep(Duration::from_millis(5));
-        });
+        pool.run_overlapped(
+            &|worker| {
+                seen.lock().unwrap().insert(worker);
+                // Hold every worker briefly so all three must participate.
+                std::thread::sleep(Duration::from_millis(5));
+            },
+            || {},
+        );
         assert_eq!(*seen.lock().unwrap(), (0..3).collect());
     }
 
@@ -660,7 +587,7 @@ mod tests {
         const N: usize = 10_000;
         let pool = WorkerPool::new(8);
         let executions = AtomicUsize::new(0);
-        let out = pool.run_indexed(N, 1, |_worker, i| {
+        let out = pool.run_indexed(N, dispatched(N), |_worker, i| {
             executions.fetch_add(1, Ordering::Relaxed);
             if i < N / 8 {
                 // The first deque block is heavy by design: its owner lags,
@@ -696,7 +623,7 @@ mod tests {
         // After a dispatch drains, every spawned worker must return to the
         // condvar (parks grow), not spin on empty deques. Poll briefly: the
         // workers park as soon as the scheduler runs them again.
-        let _ = pool.run_indexed(64, 1, |_w, i| i);
+        let _ = pool.run_indexed(64, dispatched(64), |_w, i| i);
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.totals().parks == 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
@@ -708,7 +635,7 @@ mod tests {
         );
         // Another dispatch on the parked pool: claims stay exact — nothing
         // lost across a park/wake cycle.
-        let out = pool.run_indexed(64, 1, |_w, i| i);
+        let out = pool.run_indexed(64, dispatched(64), |_w, i| i);
         assert_eq!(out, (0..64).collect::<Vec<_>>());
         assert!(pool.totals().parks >= after_first);
         assert_eq!(pool.totals().claims, 128);
@@ -720,7 +647,7 @@ mod tests {
         let driver_ran = AtomicUsize::new(0);
         let out = pool.run_indexed_overlapped(
             200,
-            2,
+            dispatched(200),
             |_w, i| i + 7,
             || {
                 driver_ran.fetch_add(1, Ordering::Relaxed);
@@ -733,7 +660,7 @@ mod tests {
         let order = Mutex::new(Vec::new());
         let out = serial.run_indexed_overlapped(
             3,
-            1,
+            dispatched(3),
             |_w, i| {
                 order.lock().unwrap().push(format!("item{i}"));
                 i
@@ -745,6 +672,31 @@ mod tests {
             *order.lock().unwrap(),
             vec!["driver", "item0", "item1", "item2"]
         );
+    }
+
+    #[test]
+    fn cheap_batches_run_inline_on_the_caller() {
+        // Below the dispatch gate even a 4-worker pool maps the batch on
+        // the caller: driver first, then every item in index order on
+        // worker 0, timed as busy, with no grain claimed or stolen.
+        let pool = WorkerPool::new(4);
+        let order = Mutex::new(Vec::new());
+        let out = pool.run_indexed_overlapped(
+            50,
+            DISPATCH_MIN_COST - 1,
+            |worker, i| {
+                assert_eq!(worker, 0, "an inline batch runs on the caller");
+                order.lock().unwrap().push(Some(i));
+                i * 3
+            },
+            || order.lock().unwrap().push(None),
+        );
+        assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>());
+        let want: Vec<Option<usize>> = std::iter::once(None).chain((0..50).map(Some)).collect();
+        assert_eq!(*order.lock().unwrap(), want);
+        assert!(pool.busy_time() > Duration::ZERO);
+        let totals = pool.totals();
+        assert_eq!((totals.claims, totals.steals), (0, 0));
     }
 
     #[test]
@@ -764,7 +716,10 @@ mod tests {
         assert!(msg.contains("driver exploded"), "unexpected payload: {msg}");
         // The spawned workers all ran their bodies; the pool still works.
         assert_eq!(executed.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.run_indexed(5, 1, |_w, i| i), vec![0, 1, 2, 3, 4]);
+        assert_eq!(
+            pool.run_indexed(5, dispatched(5), |_w, i| i),
+            vec![0, 1, 2, 3, 4]
+        );
     }
 
     #[test]
@@ -772,19 +727,21 @@ mod tests {
         let pool = WorkerPool::new(4);
         let attempts = AtomicUsize::new(0);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(&|worker| {
-                attempts.fetch_add(1, Ordering::Relaxed);
-                if worker == 2 {
-                    panic!("worker 2 exploded");
-                }
-            });
+            pool.run_overlapped(
+                &|worker| {
+                    attempts.fetch_add(1, Ordering::Relaxed);
+                    if worker == 2 {
+                        panic!("worker 2 exploded");
+                    }
+                },
+                || {},
+            );
         }));
         let err = outcome.expect_err("worker panic must reach the caller");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("exploded"), "unexpected payload: {msg}");
-        assert!(pool.panicked());
         // The pool still works after the panic.
-        let out = pool.run_indexed(20, 2, |_w, i| i);
+        let out = pool.run_indexed(20, dispatched(20), |_w, i| i);
         assert_eq!(out, (0..20).collect::<Vec<_>>());
     }
 
@@ -792,46 +749,32 @@ mod tests {
     fn caller_panic_propagates_too() {
         let pool = WorkerPool::new(2);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(&|worker| {
-                if worker == 0 {
-                    panic!("caller side");
-                }
-            });
+            pool.run_overlapped(
+                &|worker| {
+                    if worker == 0 {
+                        panic!("caller side");
+                    }
+                },
+                || {},
+            );
         }));
         assert!(outcome.is_err());
-        assert_eq!(pool.run_indexed(3, 1, |_w, i| i), vec![0, 1, 2]);
+        assert_eq!(pool.run_indexed(3, dispatched(3), |_w, i| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = WorkerPool::new(1);
-        let out = pool.run_indexed(10, 4, |worker, i| {
+        let out = pool.run_indexed(10, dispatched(10), |worker, i| {
             assert_eq!(worker, 0, "no threads to hand work to");
             i
         });
         assert_eq!(out, (0..10).collect::<Vec<_>>());
+        assert_eq!(pool.totals().claims, 0, "an inline batch claims no grain");
         assert!(std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(&|_| panic!("inline"));
+            pool.run_indexed(1, dispatched(1), |_, _| panic!("inline"));
         }))
         .is_err());
-        assert!(pool.panicked());
-    }
-
-    #[test]
-    fn external_claim_stall_and_busy_attribution() {
-        let pool = WorkerPool::new(2);
-        pool.add_claims(1, 5);
-        pool.add_stall(0, Duration::from_millis(3));
-        pool.add_stall(1, Duration::from_millis(4));
-        pool.add_busy(Duration::from_millis(9));
-        let per_worker = pool.worker_counters();
-        assert_eq!(per_worker.len(), 2);
-        assert_eq!(per_worker[1].claims, 5);
-        assert_eq!(per_worker[0].stall, Duration::from_millis(3));
-        assert_eq!(per_worker[1].stall, Duration::from_millis(4));
-        assert_eq!(pool.totals().stall, Duration::from_millis(7));
-        assert_eq!(pool.grains_executed(), 5);
-        assert!(pool.busy_time() >= Duration::from_millis(9));
     }
 
     #[test]
@@ -852,8 +795,6 @@ mod tests {
     #[test]
     fn slots_gather_in_index_order() {
         let slots = Slots::new(4);
-        assert_eq!(slots.len(), 4);
-        assert!(!slots.is_empty());
         for i in (0..4).rev() {
             slots.put(i, i * 10);
         }

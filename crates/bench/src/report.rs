@@ -3,9 +3,11 @@
 //! Serialization is hand-rolled onto [`tane_util::Json`] (`serde` is not
 //! available in the offline build); each row type has a `to_json` mirror
 //! of its fields, so the emitted document is field-for-field what the
-//! `serde` derive used to produce.
+//! `serde` derive used to produce. Rows that carry a search's `TaneStats`
+//! emit it as the counter table's rows, under the table's wire names.
 
 use crate::runners::{cell_json, Cell};
+use tane_core::TaneStats;
 use tane_util::Json;
 
 /// One Table 1 row.
@@ -197,8 +199,9 @@ impl AblationRow {
 }
 
 /// One thread-scaling measurement: the same search at one worker count on
-/// one storage backend. The dependency count `n` must be identical down
-/// every column — the parallel runtime is deterministic by construction.
+/// one storage backend. The dependency count `n` and every invariant
+/// counter must be identical down every column — the parallel runtime is
+/// deterministic by construction.
 #[derive(Debug)]
 pub struct ScalingRow {
     /// Storage backend label, `memory` or `disk`.
@@ -213,58 +216,34 @@ pub struct ScalingRow {
     pub n: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Partition products computed (thread-invariant).
-    pub products: usize,
-    /// Summed worker busy time across the pool. The serial runtime records
-    /// its compute sections here too (`serial: true` marks those rows), so
-    /// utilization is comparable against the 1-thread baseline.
-    pub worker_busy_secs: f64,
-    /// Successful work steals across the pool (scheduling instrumentation;
-    /// 0 on serial rows).
-    pub worker_steals: u64,
-    /// Times workers parked on the dispatch condvar instead of spinning.
-    pub park_count: u64,
-    /// Time workers spent probing other deques for work before parking.
-    pub spin_secs: f64,
     /// `true` when `threads == 1`: the paper-faithful serial runtime, no
     /// pool dispatch (busy time is the inline compute sections).
     pub serial: bool,
-    /// Time the store's `get` spent waiting on segment loads.
-    pub fetch_stall_secs: f64,
-    /// Bytes read back from spilled partitions (thread-invariant).
-    pub disk_bytes_read: u64,
-    /// Bytes spilled to disk (thread-invariant).
-    pub disk_bytes_written: u64,
+    /// The search's statistics, serialized as the counter table's rows.
+    pub stats: TaneStats,
 }
 
 impl ScalingRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("storage", Json::Str(self.storage.clone())),
-            ("threads", Json::Num(self.threads as f64)),
-            ("cores", Json::Num(self.cores as f64)),
-            ("n", Json::Num(self.n as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("products", Json::Num(self.products as f64)),
-            ("worker_busy_secs", Json::Num(self.worker_busy_secs)),
-            ("worker_steals", Json::Num(self.worker_steals as f64)),
-            ("park_count", Json::Num(self.park_count as f64)),
-            ("spin_secs", Json::Num(self.spin_secs)),
-            ("serial", Json::Bool(self.serial)),
-            ("fetch_stall_secs", Json::Num(self.fetch_stall_secs)),
-            ("disk_bytes_read", Json::Num(self.disk_bytes_read as f64)),
-            (
-                "disk_bytes_written",
-                Json::Num(self.disk_bytes_written as f64),
-            ),
-        ])
+        Json::obj(
+            [
+                ("storage", Json::Str(self.storage.clone())),
+                ("threads", Json::Num(self.threads as f64)),
+                ("cores", Json::Num(self.cores as f64)),
+                ("n", Json::Num(self.n as f64)),
+                ("secs", Json::Num(self.secs)),
+                ("serial", Json::Bool(self.serial)),
+            ]
+            .into_iter()
+            .chain(self.stats.json_members(false)),
+        )
     }
 }
 
 /// One top-k ranked-search measurement: the ranked walk on one dataset at
 /// one heap bound. `k = None` is the unbounded baseline — the same walk
 /// with a heap that never fills, so the bound and the early exit cannot
-/// fire and the pruning columns read zero.
+/// fire and the pruning counters read zero.
 #[derive(Debug)]
 pub struct TopKRow {
     /// Dataset label.
@@ -279,39 +258,25 @@ pub struct TopKRow {
     pub heap_len: usize,
     /// Wall-clock seconds.
     pub secs: f64,
-    /// Validity tests decided.
-    pub validity_tests: usize,
-    /// Exact `g3` computations paid for (tests the bound could not skip).
-    pub g3_exact: usize,
-    /// Candidates skipped because their `g3` lower bound could not beat
-    /// the k-th best.
-    pub bound_pruned: u64,
-    /// Candidates skipped because a recorded generalization already scored
-    /// no worse.
-    pub dominated: u64,
-    /// Level after which the walk stopped early, if it did.
-    pub early_exit_level: Option<usize>,
+    /// The search's statistics, serialized as the counter table's rows,
+    /// ranked rows included.
+    pub stats: TaneStats,
 }
 
 impl TopKRow {
     fn to_json(&self) -> Json {
-        Json::obj([
-            ("dataset", Json::Str(self.dataset.clone())),
-            ("rows", Json::Num(self.rows as f64)),
-            ("attrs", Json::Num(self.attrs as f64)),
-            ("k", self.k.map_or(Json::Null, |k| Json::Num(k as f64))),
-            ("heap_len", Json::Num(self.heap_len as f64)),
-            ("secs", Json::Num(self.secs)),
-            ("validity_tests", Json::Num(self.validity_tests as f64)),
-            ("g3_exact", Json::Num(self.g3_exact as f64)),
-            ("bound_pruned", Json::Num(self.bound_pruned as f64)),
-            ("dominated", Json::Num(self.dominated as f64)),
-            (
-                "early_exit_level",
-                self.early_exit_level
-                    .map_or(Json::Null, |l| Json::Num(l as f64)),
-            ),
-        ])
+        Json::obj(
+            [
+                ("dataset", Json::Str(self.dataset.clone())),
+                ("rows", Json::Num(self.rows as f64)),
+                ("attrs", Json::Num(self.attrs as f64)),
+                ("k", self.k.map_or(Json::Null, |k| Json::Num(k as f64))),
+                ("heap_len", Json::Num(self.heap_len as f64)),
+                ("secs", Json::Num(self.secs)),
+            ]
+            .into_iter()
+            .chain(self.stats.json_members(true)),
+        )
     }
 }
 
@@ -412,15 +377,14 @@ mod tests {
                 cores: 8,
                 n: 48,
                 secs: 0.75,
-                products: 1925,
-                worker_busy_secs: 1.2,
-                worker_steals: 7,
-                park_count: 3,
-                spin_secs: 0.01,
                 serial: false,
-                fetch_stall_secs: 0.1,
-                disk_bytes_read: 4096,
-                disk_bytes_written: 8192,
+                stats: TaneStats {
+                    products: 1925,
+                    worker_steals: 7,
+                    worker_parks: 3,
+                    disk_bytes_written: 8192,
+                    ..TaneStats::default()
+                },
             }],
             figure4: vec![Figure4Point {
                 copies: 2,
@@ -436,11 +400,14 @@ mod tests {
                 k: Some(5),
                 heap_len: 5,
                 secs: 0.2,
-                validity_tests: 1200,
-                g3_exact: 40,
-                bound_pruned: 900,
-                dominated: 30,
-                early_exit_level: Some(7),
+                stats: TaneStats {
+                    validity_tests: 1200,
+                    g3_exact_computations: 40,
+                    topk_bound_pruned: 900,
+                    topk_dominated: 30,
+                    topk_early_exit_level: Some(7),
+                    ..TaneStats::default()
+                },
             }],
             ..Report::default()
         };
@@ -464,7 +431,11 @@ mod tests {
         assert_eq!(scaling[0].get("storage").unwrap().as_str(), Some("disk"));
         assert_eq!(scaling[0].get("threads").unwrap().as_usize(), Some(2));
         assert_eq!(scaling[0].get("worker_steals").unwrap().as_usize(), Some(7));
-        assert_eq!(scaling[0].get("park_count").unwrap().as_usize(), Some(3));
+        assert_eq!(scaling[0].get("worker_parks").unwrap().as_usize(), Some(3));
+        assert!(
+            scaling[0].get("topk_bound_pruned").is_none(),
+            "ranked rows stay off plain searches"
+        );
         assert_eq!(scaling[0].get("serial").unwrap().as_bool(), Some(false));
         assert_eq!(
             scaling[0].get("disk_bytes_written").unwrap().as_usize(),
@@ -472,7 +443,13 @@ mod tests {
         );
         let topk = parsed.get("topk").unwrap().as_array().unwrap();
         assert_eq!(topk[0].get("k").unwrap().as_usize(), Some(5));
-        assert_eq!(topk[0].get("bound_pruned").unwrap().as_usize(), Some(900));
-        assert_eq!(topk[0].get("early_exit_level").unwrap().as_usize(), Some(7));
+        assert_eq!(
+            topk[0].get("topk_bound_pruned").unwrap().as_usize(),
+            Some(900)
+        );
+        assert_eq!(
+            topk[0].get("topk_early_exit_level").unwrap().as_usize(),
+            Some(7)
+        );
     }
 }

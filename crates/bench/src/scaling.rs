@@ -1,10 +1,10 @@
 //! Thread-scaling experiment (beyond the paper): the same search at 1, 2,
 //! 4, and 8 pool workers, on both storage backends. Two claims are under
-//! test: the dependency count, product count and disk bytes read and
-//! written must be identical down every column (the runtime is
-//! deterministic by construction — see DESIGN.md §9), and the
-//! instrumentation (worker busy time, steals, parks, spin, fetch stall)
-//! must explain where the wall-clock goes. On a
+//! test: the dependency count and every invariant row of the counter
+//! table (products, validity tests, disk I/O, ...) must be identical down
+//! every column (the runtime is deterministic by construction — see
+//! DESIGN.md §9), and the instrumentation (worker busy time, steals,
+//! parks, spin, fetch stall) must explain where the wall-clock goes. On a
 //! single-core machine the rows legitimately show no speedup; the `cores`
 //! field records the machine so the numbers read as measured, and
 //! [`assert_scaling`] gates CI only where 4 workers can actually run.
@@ -122,7 +122,6 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
 
     let mut rows = Vec::new();
     for (label, storage) in &storages {
-        let mut reference: Option<(usize, usize, u64, u64)> = None;
         for &threads in &THREADS {
             // max_lhs bounds the 15-attribute lattice so a cell is seconds,
             // not hours; the bound is identical in every cell, so the
@@ -142,29 +141,10 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
                 cores,
                 n: result.fds.len(),
                 secs,
-                products: result.stats.products,
-                worker_busy_secs: result.stats.worker_busy.as_secs_f64(),
-                worker_steals: result.stats.worker_steals,
-                park_count: result.stats.worker_parks,
-                spin_secs: result.stats.worker_spin.as_secs_f64(),
                 serial: threads == 1,
-                fetch_stall_secs: result.stats.fetch_stall.as_secs_f64(),
-                disk_bytes_read: result.stats.disk_bytes_read,
-                disk_bytes_written: result.stats.disk_bytes_written,
+                stats: result.stats,
             };
-            let invariant = (
-                row.n,
-                row.products,
-                row.disk_bytes_read,
-                row.disk_bytes_written,
-            );
-            match reference {
-                None => reference = Some(invariant),
-                Some(r) => assert_eq!(
-                    r, invariant,
-                    "{label}/threads={threads} changed the output or its disk I/O"
-                ),
-            }
+            let s = &row.stats;
             println!(
                 "{}",
                 format_row(
@@ -174,17 +154,26 @@ pub fn run(scale: Scale) -> Vec<ScalingRow> {
                         row.threads.to_string(),
                         row.n.to_string(),
                         format!("{:.3}", row.secs),
-                        format!("{:.3}", row.worker_busy_secs),
-                        row.worker_steals.to_string(),
-                        row.park_count.to_string(),
-                        format!("{:.3}", row.spin_secs),
-                        format!("{:.3}", row.fetch_stall_secs),
-                        row.disk_bytes_read.to_string(),
-                        row.disk_bytes_written.to_string(),
+                        format!("{:.3}", s.worker_busy.as_secs_f64()),
+                        s.worker_steals.to_string(),
+                        s.worker_parks.to_string(),
+                        format!("{:.3}", s.worker_spin.as_secs_f64()),
+                        format!("{:.3}", s.fetch_stall.as_secs_f64()),
+                        s.disk_bytes_read.to_string(),
+                        s.disk_bytes_written.to_string(),
                     ]
                 )
             );
             rows.push(row);
+        }
+        let column = &rows[rows.len() - THREADS.len()..];
+        for row in &column[1..] {
+            assert_eq!(
+                (row.n, row.stats.invariant_counters()),
+                (column[0].n, column[0].stats.invariant_counters()),
+                "{label}/threads={} changed the output or an invariant counter",
+                row.threads
+            );
         }
     }
     println!();

@@ -59,11 +59,7 @@ fn to_row(
         k,
         heap_len: result.ranked.as_deref().map_or(0, <[_]>::len),
         secs,
-        validity_tests: result.stats.validity_tests,
-        g3_exact: result.stats.g3_exact_computations,
-        bound_pruned: result.stats.topk_bound_pruned,
-        dominated: result.stats.topk_dominated,
-        early_exit_level: result.stats.topk_early_exit_level,
+        stats: result.stats.clone(),
     }
 }
 
@@ -104,6 +100,7 @@ pub fn run(scale: Scale) -> Vec<TopKRow> {
             grid_rows.push(to_row(&name, &relation, Some(k), &bounded, secs));
         }
         for row in &grid_rows {
+            let s = &row.stats;
             println!(
                 "{}",
                 format_row(
@@ -113,11 +110,12 @@ pub fn run(scale: Scale) -> Vec<TopKRow> {
                         row.k.map_or("full".into(), |k| k.to_string()),
                         row.heap_len.to_string(),
                         format!("{:.3}", row.secs),
-                        row.validity_tests.to_string(),
-                        row.g3_exact.to_string(),
-                        row.bound_pruned.to_string(),
-                        row.dominated.to_string(),
-                        row.early_exit_level.map_or("-".into(), |l| l.to_string()),
+                        s.validity_tests.to_string(),
+                        s.g3_exact_computations.to_string(),
+                        s.topk_bound_pruned.to_string(),
+                        s.topk_dominated.to_string(),
+                        s.topk_early_exit_level
+                            .map_or("-".into(), |l| l.to_string()),
                     ]
                 )
             );

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use tane_core::{
     discover_approx_fds_with, discover_fds_with, discover_topk_fds_with, ApproxTaneConfig,
-    LevelEvent, TaneConfig, TopKConfig, TopKEvent,
+    LevelEvent, TaneConfig, TaneStats, TopKConfig, TopKEvent,
 };
 use tane_relation::csv::{read_csv, write_csv, CsvOptions};
 use tane_relation::{NullSemantics, Relation};
@@ -193,6 +193,23 @@ fn load(path: &str, opts: &Opts) -> Result<Relation, String> {
     read_csv(Path::new(path), &options).map_err(|e| format!("reading {path}: {e}"))
 }
 
+/// The `--flag` value `text`, in MB (MiB), as bytes: an error naming the
+/// flag when it is not a count or the byte count overflows.
+fn mebibytes(flag: &str, text: &str) -> Result<usize, String> {
+    let mb: usize = text
+        .parse()
+        .map_err(|_| format!("bad --{flag} size `{text}`"))?;
+    mb.checked_mul(1 << 20)
+        .ok_or_else(|| format!("--{flag} {mb} is too large: the byte count overflows"))
+}
+
+/// `--stats`: one `# <name>: <value>` line per reported counter-table row.
+fn print_stats(stats: &TaneStats, ranked: bool) {
+    for c in stats.reported(ranked) {
+        eprintln!("# {}: {}", c.name, c.value.to_json().render());
+    }
+}
+
 fn discover(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(
         args,
@@ -229,12 +246,9 @@ fn discover(args: &[String]) -> Result<(), String> {
         None => None,
     };
     let storage = match opts.value("disk") {
-        Some(mb) => {
-            let mb: usize = mb.parse().map_err(|_| format!("bad cache size `{mb}`"))?;
-            tane_core::Storage::Disk {
-                cache_bytes: mb << 20,
-            }
-        }
+        Some(mb) => tane_core::Storage::Disk {
+            cache_bytes: mebibytes("disk", mb)?,
+        },
         None => tane_core::Storage::Memory,
     };
     let threads: usize = match opts.value("threads") {
@@ -318,50 +332,7 @@ fn discover(args: &[String]) -> Result<(), String> {
                 eprintln!("# {} minimal dependencies", result.fds.len());
             }
             if opts.flag("stats") {
-                let s = &result.stats;
-                eprintln!("# levels: {}", s.levels);
-                eprintln!("# sets processed (s): {}", s.sets_total);
-                eprintln!("# largest level (s_max): {}", s.sets_max_level);
-                eprintln!("# validity tests (v): {}", s.validity_tests);
-                eprintln!("# keys found (k): {}", s.keys_found);
-                eprintln!("# partition products: {}", s.products);
-                eprintln!("# exact g3 computations: {}", s.g3_exact_computations);
-                eprintln!("# tests decided by g3 bounds: {}", s.g3_decided_by_bounds);
-                if ranked_mode {
-                    eprintln!(
-                        "# top-k bound-pruned/dominated: {}/{}",
-                        s.topk_bound_pruned, s.topk_dominated
-                    );
-                    eprintln!("# top-k heap insertions: {}", s.topk_improvements);
-                    match s.topk_early_exit_level {
-                        Some(l) => eprintln!("# top-k early exit after level {l}"),
-                        None => eprintln!("# top-k walked the full lattice"),
-                    }
-                }
-                eprintln!("# disk reads/writes: {}/{}", s.disk_reads, s.disk_writes);
-                eprintln!(
-                    "# disk bytes read/written: {}/{}",
-                    s.disk_bytes_read, s.disk_bytes_written
-                );
-                eprintln!(
-                    "# store evictions/pins/oversized: {}/{}/{}",
-                    s.store_evictions, s.store_pins, s.oversized_resident
-                );
-                eprintln!(
-                    "# parallel workers/grains: {}/{}",
-                    s.parallel_workers, s.parallel_grains
-                );
-                eprintln!(
-                    "# worker steals/parks: {}/{}",
-                    s.worker_steals, s.worker_parks
-                );
-                eprintln!(
-                    "# worker busy / spin / fetch stall: {:.3}s/{:.3}s/{:.3}s",
-                    s.worker_busy.as_secs_f64(),
-                    s.worker_spin.as_secs_f64(),
-                    s.fetch_stall.as_secs_f64()
-                );
-                eprintln!("# time: {:.3}s", s.elapsed.as_secs_f64());
+                print_stats(&result.stats, ranked_mode);
             }
         }
         "fdep" => {
@@ -532,21 +503,12 @@ fn patch(args: &[String]) -> Result<(), String> {
         outcome.generation
     );
     if opts.flag("stats") {
-        let s = &result.stats;
         eprintln!(
             "# appended/deleted: {}/{}",
             outcome.appended, outcome.deleted
         );
-        eprintln!(
-            "# partitions supplied by the engine: {}",
-            s.partitions_supplied
-        );
-        eprintln!(
-            "# partition products: {} (base run did {})",
-            s.products, cold.stats.products
-        );
-        eprintln!("# validity tests: {}", s.validity_tests);
-        eprintln!("# time: {:.3}s", s.elapsed.as_secs_f64());
+        eprintln!("# base run products: {}", cold.stats.products);
+        print_stats(&result.stats, false);
     }
     Ok(())
 }
@@ -753,11 +715,11 @@ fn serve(args: &[String]) -> Result<(), String> {
         config.idle_timeout = std::time::Duration::from_secs(secs);
     }
     if let Some(q) = opts.value("disk-quota-mb") {
-        let mb: u64 = q.parse().map_err(|_| format!("bad disk quota `{q}`"))?;
-        if mb == 0 {
+        let bytes = mebibytes("disk-quota-mb", q)?;
+        if bytes == 0 {
             return Err("disk quota must be at least 1 MB".into());
         }
-        config.disk_quota_bytes = mb << 20;
+        config.disk_quota_bytes = bytes as u64;
     }
 
     tane_server::install_signal_handlers();

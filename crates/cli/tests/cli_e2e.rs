@@ -93,8 +93,54 @@ fn epsilon_and_stats_flags() {
     // {A} -> B holds at g3 = 3/8.
     assert!(stdout.contains("{A} -> B"), "{stdout}");
     let stderr = String::from_utf8(out.stderr).unwrap();
-    assert!(stderr.contains("validity tests"), "{stderr}");
+    assert!(stderr.contains("# validity_tests: "), "{stderr}");
     std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn megabyte_sizes_that_overflow_are_refused() {
+    // 2^44 MiB is 2^64 bytes: one past the byte count's range.
+    let path = write_fixture("huge-cache.csv", FIGURE1);
+    let out = tane()
+        .args([
+            "discover",
+            path.to_str().unwrap(),
+            "--disk",
+            "17592186044416",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--disk"));
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn serve_refuses_an_overflowing_disk_quota() {
+    // A wrapped quota would start the server, so give it a deadline.
+    let mut child = tane()
+        .args(["serve", "--port", "0", "--disk-quota-mb", "17592186044416"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    for _ in 0..100 {
+        if let Some(status) = child.try_wait().unwrap() {
+            assert!(!status.success());
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .unwrap()
+                .read_to_string(&mut stderr)
+                .unwrap();
+            assert!(stderr.contains("--disk-quota-mb"), "{stderr}");
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    child.kill().ok();
+    panic!("serve started with a quota of 2^44 MB");
 }
 
 #[test]

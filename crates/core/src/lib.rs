@@ -62,7 +62,9 @@ pub use config::{ApproxTaneConfig, Storage, TaneConfig, TopKConfig};
 pub use cover::{attribute_closure, candidate_keys, implies, is_superkey, remove_redundant};
 pub use lattice::NextLevelCandidate;
 pub use rank::{RankedFd, TopKEvent};
-pub use result::{LevelEvent, TaneError, TaneResult, TaneStats};
+pub use result::{
+    Counter, CounterKind, CounterValue, LevelEvent, TaneError, TaneResult, TaneStats,
+};
 pub use search::{
     discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
     discover_topk_fds, discover_topk_fds_with, reverify_approx_fds_with, reverify_fds_with,

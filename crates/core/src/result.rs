@@ -4,7 +4,7 @@ use std::fmt;
 use std::time::Duration;
 use tane_partition::StoreError;
 use tane_relation::Schema;
-use tane_util::Fd;
+use tane_util::{Fd, Json};
 
 /// Errors a TANE run can produce. The search itself is total; failures come
 /// from the partition store (disk variant) only.
@@ -77,7 +77,7 @@ pub struct TaneStats {
     pub sets_max_level: usize,
     /// Validity tests performed, the paper's `v`.
     pub validity_tests: usize,
-    /// Exact `g3` computations (approximate mode only).
+    /// Exact `g3` computations (approximate and ranked modes).
     pub g3_exact_computations: usize,
     /// Validity tests decided by the quick `g3` bounds alone
     /// (approximate mode with `use_g3_bounds`).
@@ -161,6 +161,163 @@ pub struct TaneStats {
     pub level_times: Vec<Duration>,
     /// Wall-clock time of the search.
     pub elapsed: Duration,
+}
+
+/// How a [`Counter`] behaves across runs of the same search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CounterKind {
+    /// Identical at every worker count (DESIGN §9, §13).
+    Invariant,
+    /// Invariant too, but reported for ranked (top-k) searches only.
+    Ranked,
+    /// Scheduling or timing: differs from run to run.
+    Varies,
+}
+
+/// One statistic's value. The variant is its unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum CounterValue<'a> {
+    /// A count of events, sets, bytes or workers.
+    Count(u64),
+    /// A duration, reported in seconds.
+    Secs(Duration),
+    /// One duration per lattice level, index 0 = level 1, in seconds.
+    LevelSecs(&'a [Duration]),
+    /// A lattice level, or none.
+    Level(Option<usize>),
+}
+
+impl CounterValue<'_> {
+    /// The value as wire JSON: counts and seconds as numbers, per-level
+    /// seconds as an array, an absent level as `null`.
+    pub fn to_json(&self) -> Json {
+        let secs = |d: &Duration| Json::Num(d.as_secs_f64());
+        match self {
+            CounterValue::Count(n) => Json::Num(*n as f64),
+            CounterValue::Secs(d) => secs(d),
+            CounterValue::LevelSecs(ts) => Json::Arr(ts.iter().map(secs).collect()),
+            CounterValue::Level(l) => l.map_or(Json::Null, |l| Json::Num(l as f64)),
+        }
+    }
+}
+
+/// One row of the counter table ([`TaneStats::counters`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Counter<'a> {
+    /// The wire name: the `/v1/discover` stats key and the `--stats` label.
+    pub name: &'static str,
+    /// Whether the value may differ between runs of the same search.
+    pub kind: CounterKind,
+    /// The value, in its unit.
+    pub value: CounterValue<'a>,
+}
+
+impl TaneStats {
+    /// Rows in [`counters`](Self::counters).
+    pub const COUNTERS: usize = 29;
+
+    /// The counter table: one row per reported statistic, in the wire
+    /// order of the `/v1/discover` stats object. Every stats surface — the
+    /// response body, `/v1/metrics`, `--stats`, the `repro` rows and the
+    /// determinism suites — is generated from it.
+    ///
+    /// `sets_per_level` and `peak_resident_bytes` are in-process only: the
+    /// frozen response bodies do not carry them.
+    pub fn counters(&self) -> [Counter<'_>; Self::COUNTERS] {
+        // No `..`: a new field does not compile until it has a row here or
+        // is named in-process-only.
+        let TaneStats {
+            levels,
+            sets_per_level: _,
+            sets_total,
+            sets_max_level,
+            validity_tests,
+            g3_exact_computations: g3_exact,
+            g3_decided_by_bounds,
+            keys_found,
+            products,
+            partitions_supplied,
+            disk_reads,
+            disk_writes,
+            disk_bytes_read,
+            disk_bytes_written,
+            peak_resident_bytes: _,
+            store_evictions,
+            store_pins,
+            oversized_resident,
+            parallel_workers,
+            parallel_grains,
+            worker_steals,
+            worker_parks,
+            worker_spin,
+            worker_busy,
+            fetch_stall,
+            topk_bound_pruned,
+            topk_dominated,
+            topk_improvements,
+            topk_early_exit_level: early_exit,
+            level_times,
+            elapsed,
+        } = self;
+        use CounterKind::{Invariant, Ranked, Varies};
+        use CounterValue::{Count, Level, LevelSecs, Secs};
+        let row = |name, kind, value| Counter { name, kind, value };
+        let n = |v: usize| Count(v as u64);
+        [
+            row("levels", Invariant, n(*levels)),
+            row("sets_total", Invariant, n(*sets_total)),
+            row("sets_max_level", Invariant, n(*sets_max_level)),
+            row("validity_tests", Invariant, n(*validity_tests)),
+            row("keys_found", Invariant, n(*keys_found)),
+            row("products", Invariant, n(*products)),
+            row("partitions_supplied", Invariant, n(*partitions_supplied)),
+            row("g3_exact_computations", Invariant, n(*g3_exact)),
+            row("g3_decided_by_bounds", Invariant, n(*g3_decided_by_bounds)),
+            row("disk_reads", Invariant, Count(*disk_reads)),
+            row("disk_writes", Invariant, Count(*disk_writes)),
+            row("disk_bytes_read", Invariant, Count(*disk_bytes_read)),
+            row("disk_bytes_written", Invariant, Count(*disk_bytes_written)),
+            row("store_evictions", Invariant, Count(*store_evictions)),
+            row("store_pins", Invariant, Count(*store_pins)),
+            row("oversized_resident", Invariant, Count(*oversized_resident)),
+            row("parallel_workers", Varies, n(*parallel_workers)),
+            row("parallel_grains", Varies, Count(*parallel_grains)),
+            row("worker_steals", Varies, Count(*worker_steals)),
+            row("worker_parks", Varies, Count(*worker_parks)),
+            row("worker_spin_secs", Varies, Secs(*worker_spin)),
+            row("worker_busy_secs", Varies, Secs(*worker_busy)),
+            row("fetch_stall_secs", Varies, Secs(*fetch_stall)),
+            row("level_secs", Varies, LevelSecs(level_times)),
+            row("elapsed_secs", Varies, Secs(*elapsed)),
+            row("topk_bound_pruned", Ranked, Count(*topk_bound_pruned)),
+            row("topk_dominated", Ranked, Count(*topk_dominated)),
+            row("topk_improvements", Ranked, Count(*topk_improvements)),
+            row("topk_early_exit_level", Ranked, Level(*early_exit)),
+        ]
+    }
+
+    /// The rows a search reports: the whole table for a ranked search,
+    /// every row but the [`CounterKind::Ranked`] ones otherwise.
+    pub fn reported(&self, ranked: bool) -> impl Iterator<Item = Counter<'_>> {
+        self.counters()
+            .into_iter()
+            .filter(move |c| ranked || c.kind != CounterKind::Ranked)
+    }
+
+    /// The rows no worker count may change — every row but the
+    /// [`CounterKind::Varies`] ones — as the determinism suites compare
+    /// them.
+    pub fn invariant_counters(&self) -> Vec<Counter<'_>> {
+        self.counters()
+            .into_iter()
+            .filter(|c| c.kind != CounterKind::Varies)
+            .collect()
+    }
+
+    /// [`reported`](Self::reported) as wire JSON members, name first.
+    pub fn json_members(&self, ranked: bool) -> impl Iterator<Item = (&'static str, Json)> + '_ {
+        self.reported(ranked).map(|c| (c.name, c.value.to_json()))
+    }
 }
 
 /// The outcome of a discovery run: the minimal cover plus statistics.

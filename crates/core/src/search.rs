@@ -55,10 +55,9 @@ use crate::lattice::{
 use crate::rank::{RankState, TopKEvent};
 use crate::result::{LevelEvent, TaneError, TaneResult, TaneStats};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 use tane_partition::{
     g3_removed_rows_with_scratch, product_with_scratch, G3Bounds, G3Scratch, MemoryStore,
-    PartitionStore, ProductScratch, ReadPhase, SegmentStore, StrippedPartition,
+    PartitionStore, ProductScratch, ReadPhase, SegmentStore, StoreCounters, StrippedPartition,
 };
 use tane_relation::Relation;
 use tane_util::{canonical_fds, AttrSet, Fd, Stopwatch, WorkerPool};
@@ -369,33 +368,11 @@ impl Store {
         }
     }
 
-    fn disk_counters(&self) -> (u64, u64) {
+    /// The disk store's I/O and cache counters; memory storage has none.
+    fn counters(&self) -> StoreCounters {
         match self {
-            Store::Memory(_) => (0, 0),
-            Store::Disk(s) => (s.disk_reads(), s.disk_writes()),
-        }
-    }
-
-    fn disk_byte_counters(&self) -> (u64, u64) {
-        match self {
-            Store::Memory(_) => (0, 0),
-            Store::Disk(s) => (s.disk_bytes_read(), s.disk_bytes_written()),
-        }
-    }
-
-    /// (evictions, snapshot pins, oversized-resident sweeps).
-    fn cache_counters(&self) -> (u64, u64, u64) {
-        match self {
-            Store::Memory(_) => (0, 0, 0),
-            Store::Disk(s) => (s.evictions(), s.snapshot_pins(), s.oversized_resident()),
-        }
-    }
-
-    /// Time `get` waited on segment loads; memory storage never waits.
-    fn fetch_stall(&self) -> Duration {
-        match self {
-            Store::Memory(_) => Duration::ZERO,
-            Store::Disk(s) => s.fetch_wait(),
+            Store::Memory(_) => StoreCounters::default(),
+            Store::Disk(s) => s.counters(),
         }
     }
 }
@@ -776,24 +753,22 @@ fn run(
         stats.level_times.push(level_sw.elapsed());
     }
 
-    let (reads, writes) = store.disk_counters();
-    let (bytes_read, bytes_written) = store.disk_byte_counters();
-    stats.disk_reads = reads;
-    stats.disk_writes = writes;
-    stats.disk_bytes_read = bytes_read;
-    stats.disk_bytes_written = bytes_written;
-    let (evictions, pins, oversized) = store.cache_counters();
-    stats.store_evictions = evictions;
-    stats.store_pins = pins;
-    stats.oversized_resident = oversized;
+    let io = store.counters();
+    stats.disk_reads = io.disk_reads;
+    stats.disk_writes = io.disk_writes;
+    stats.disk_bytes_read = io.disk_bytes_read;
+    stats.disk_bytes_written = io.disk_bytes_written;
+    stats.store_evictions = io.evictions;
+    stats.store_pins = io.pins;
+    stats.oversized_resident = io.oversized_resident;
+    stats.fetch_stall = io.fetch_wait;
     stats.parallel_workers = runtime.pool.threads();
-    let totals = runtime.pool.totals();
-    stats.parallel_grains = totals.claims;
-    stats.worker_steals = totals.steals;
-    stats.worker_parks = totals.parks;
-    stats.worker_spin = totals.spin;
-    stats.worker_busy = runtime.pool.busy_time();
-    stats.fetch_stall = store.fetch_stall();
+    let pool = runtime.pool.totals();
+    stats.parallel_grains = pool.claims;
+    stats.worker_steals = pool.steals;
+    stats.worker_parks = pool.parks;
+    stats.worker_spin = pool.spin;
+    stats.worker_busy = pool.busy;
     stats.elapsed = sw.elapsed();
     found_keys.sort_unstable();
     if let Some(r) = rank {

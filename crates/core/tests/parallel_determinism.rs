@@ -88,31 +88,17 @@ fn storages() -> Vec<(&'static str, Storage)> {
     ]
 }
 
-/// Everything that must be invariant across worker counts. Wall-clock and
-/// the parallel instrumentation (grains, busy time) legitimately vary.
-fn invariant_view(r: &TaneResult) -> impl PartialEq + std::fmt::Debug {
+/// Everything that must be invariant across worker counts: every counter
+/// row not marked `Varies` (wall-clock and the parallel instrumentation —
+/// grains, busy time — legitimately vary) plus the two in-process-only
+/// statistics.
+fn invariant_view(r: &TaneResult) -> impl PartialEq + std::fmt::Debug + '_ {
     (
         r.fds.clone(),
         r.keys.clone(),
-        r.stats.products,
-        r.stats.levels,
+        r.stats.invariant_counters(),
         r.stats.sets_per_level.clone(),
-        r.stats.validity_tests,
-        r.stats.g3_exact_computations,
-        r.stats.g3_decided_by_bounds,
-        r.stats.keys_found,
-        // The store's counters, nested: a tuple's `Debug` stops at 12
-        // fields.
-        (
-            r.stats.disk_reads,
-            r.stats.disk_bytes_read,
-            r.stats.disk_bytes_written,
-            r.stats.disk_writes,
-            r.stats.store_evictions,
-            r.stats.store_pins,
-            r.stats.peak_resident_bytes,
-            r.stats.oversized_resident,
-        ),
+        r.stats.peak_resident_bytes,
     )
 }
 

@@ -47,6 +47,6 @@ pub use measures::{g1_error, g1_violating_pairs, g2_error, g2_violating_rows, Me
 pub use product::{product, product_with_scratch, ProductScratch};
 pub use store::{
     failpoint, DiskQuota, DiskStore, MemoryStore, PartitionStore, ReadPhase, SegmentStore,
-    StoreError,
+    StoreCounters, StoreError,
 };
 pub use stripped::StrippedPartition;

@@ -132,6 +132,31 @@ fn clone_error(e: &StoreError) -> StoreError {
     }
 }
 
+/// A snapshot of a [`SegmentStore`]'s I/O and cache counters, totals since
+/// the store was created ([`SegmentStore::counters`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StoreCounters {
+    /// Partition records read back from disk.
+    pub disk_reads: u64,
+    /// Partition records written.
+    pub disk_writes: u64,
+    /// Bytes of partition records read back from disk.
+    pub disk_bytes_read: u64,
+    /// Bytes of partition records spilled to disk.
+    pub disk_bytes_written: u64,
+    /// Partitions evicted from the resident cache.
+    pub evictions: u64,
+    /// Cache entries pinned by read phases (each holds one fetched
+    /// partition resident until its phase ends).
+    pub pins: u64,
+    /// Eviction sweeps that ended over budget, everything left pinned or
+    /// active (e.g. one partition larger than the whole budget).
+    pub oversized_resident: u64,
+    /// Time [`get`](PartitionStore::get) waited on segment loads — its own
+    /// reads plus single-flight waits — summed over calling threads.
+    pub fetch_wait: Duration,
+}
+
 /// A shared disk-usage budget, charged by every [`SegmentStore`] that holds
 /// a handle to it. The server creates one per dataset, so all searches over
 /// a dataset — however many run concurrently — share one cap on spilled
@@ -450,7 +475,7 @@ pub struct SegmentStore {
     pins: AtomicU64,
     oversized: AtomicU64,
     /// Nanoseconds `get` spent waiting on segment loads (see
-    /// [`fetch_wait`](SegmentStore::fetch_wait)).
+    /// [`StoreCounters::fetch_wait`]).
     fetch_wait_nanos: AtomicU64,
 }
 
@@ -523,65 +548,26 @@ impl SegmentStore {
         })
     }
 
-    /// Number of partition records read back from disk so far.
-    // ORDERING: Acquire — this counter is published into TaneStats;
-    // pairs with the Release increments in read_record so a reader that
-    // observed the search finish observes every read it performed.
-    pub fn disk_reads(&self) -> u64 {
-        self.reads.load(Ordering::Acquire)
+    /// A snapshot of the store's I/O and cache counters.
+    // ORDERING: Acquire on every load — the snapshot is published into
+    // TaneStats; the loads pair with the Release increments in
+    // read_record, load_and_publish, evict_to_budget and add_fetch_wait,
+    // so a reader that observed the search finish observes every read,
+    // pin, eviction and wait it performed.
+    pub fn counters(&self) -> StoreCounters {
+        StoreCounters {
+            disk_reads: self.reads.load(Ordering::Acquire),
+            disk_writes: self.writes,
+            disk_bytes_read: self.bytes_read.load(Ordering::Acquire),
+            disk_bytes_written: self.bytes_written,
+            evictions: self.evictions.load(Ordering::Acquire),
+            pins: self.pins.load(Ordering::Acquire),
+            oversized_resident: self.oversized.load(Ordering::Acquire),
+            fetch_wait: Duration::from_nanos(self.fetch_wait_nanos.load(Ordering::Acquire)),
+        }
     }
 
-    /// Number of partition records written so far.
-    pub fn disk_writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Bytes of partition records read back from disk so far.
-    // ORDERING: Acquire — stats-published; pairs with the Release
-    // increment in read_record (see disk_reads).
-    pub fn disk_bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Acquire)
-    }
-
-    /// Bytes of partition records spilled to disk so far.
-    pub fn disk_bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
-    /// Partitions evicted from the resident cache so far.
-    // ORDERING: Acquire — stats-published; pairs with the Release
-    // increment in evict_to_budget.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Acquire)
-    }
-
-    /// Cache entries pinned by read phases so far (each pin holds one
-    /// fetched partition resident until its phase ends).
-    // ORDERING: Acquire — stats-published; pairs with the Release
-    // increment in load_and_publish.
-    pub fn snapshot_pins(&self) -> u64 {
-        self.pins.load(Ordering::Acquire)
-    }
-
-    /// Times an eviction sweep ended with the resident set still over
-    /// budget — every remaining partition was pinned or active (e.g. a
-    /// single partition larger than the whole budget).
-    // ORDERING: Acquire — stats-published; pairs with the Release
-    // increment in evict_to_budget.
-    pub fn oversized_resident(&self) -> u64 {
-        self.oversized.load(Ordering::Acquire)
-    }
-
-    /// Time [`get`](PartitionStore::get) spent waiting on segment loads —
-    /// its own miss reads plus single-flight waits on another reader's —
-    /// summed over every calling thread. Cache hits add nothing.
-    // ORDERING: Acquire — stats-published; pairs with the Release
-    // increment in add_fetch_wait (see disk_reads).
-    pub fn fetch_wait(&self) -> Duration {
-        Duration::from_nanos(self.fetch_wait_nanos.load(Ordering::Acquire))
-    }
-
-    // ORDERING: Release — pairs with the Acquire load in fetch_wait.
+    // ORDERING: Release — pairs with the Acquire load in counters.
     fn add_fetch_wait(&self, since: Stopwatch) {
         self.fetch_wait_nanos
             .fetch_add(since.elapsed().as_nanos() as u64, Ordering::Release);
@@ -723,11 +709,11 @@ impl SegmentStore {
     /// eviction, and with it every disk-read counter, is byte-identical
     /// across worker counts (DESIGN §13).
     ///
-    /// [`oversized_resident`]: SegmentStore::oversized_resident
+    /// [`oversized_resident`]: StoreCounters::oversized_resident
     // ORDERING: cache_bytes reads/writes are Relaxed (driver-serial sweep,
     // advisory accounting — see the comment in publish_entry); the
-    // evictions/oversized increments are Release so the Acquire getters
-    // that feed TaneStats observe exact totals.
+    // evictions/oversized increments are Release so the Acquire loads in
+    // counters, which feed TaneStats, observe exact totals.
     fn evict_to_budget(&self) {
         let clock = &self.clock;
         // lint:lock-order(clock -> shard): the sweep walks the clock queue
@@ -971,8 +957,8 @@ impl SegmentStore {
             }
         })?;
         let partition = parse_record(key, &buf)?;
-        // ORDERING: Release — pairs with the Acquire loads in the
-        // disk_reads/disk_bytes_read getters that feed TaneStats.
+        // ORDERING: Release — pairs with the Acquire loads in counters,
+        // which feed TaneStats.
         self.reads.fetch_add(1, Ordering::Release);
         self.bytes_read.fetch_add(loc.len as u64, Ordering::Release); // ORDERING: as above
         Ok(partition)
@@ -1009,7 +995,7 @@ impl SegmentStore {
                 );
                 // ORDERING: Relaxed cache accounting (advisory, see
                 // publish_entry); the pin counter is Release to pair with
-                // the Acquire getter feeding TaneStats.
+                // the Acquire load in counters, which feeds TaneStats.
                 self.cache_bytes
                     .fetch_add(part.size_bytes(), Ordering::Relaxed); // ORDERING: as above
                 if pinned {
@@ -1440,7 +1426,11 @@ mod tests {
         let key = AttrSet::singleton(4);
         s.put(key, sample(2)).unwrap();
         assert_eq!(*s.get(key).unwrap(), sample(2));
-        assert_eq!(s.disk_reads(), 0, "active entries never touch disk");
+        assert_eq!(
+            s.counters().disk_reads,
+            0,
+            "active entries never touch disk"
+        );
     }
 
     #[test]
@@ -1460,13 +1450,16 @@ mod tests {
             s.resident_bytes(),
             one + 8
         );
-        assert_eq!(s.disk_writes(), 6);
-        assert!(s.evictions() >= 4, "evictions must be counted");
+        assert_eq!(s.counters().disk_writes, 6);
+        assert!(s.counters().evictions >= 4, "evictions must be counted");
         // All six must still be retrievable, identical to what was stored.
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(*s.get(k).unwrap(), sample(i as u32), "key {i}");
         }
-        assert!(s.disk_reads() >= 4, "cold keys must be read from disk");
+        assert!(
+            s.counters().disk_reads >= 4,
+            "cold keys must be read from disk"
+        );
     }
 
     #[test]
@@ -1494,7 +1487,7 @@ mod tests {
         let mut s = SegmentStore::new(0).unwrap();
         s.put(AttrSet::singleton(0), sample(1)).unwrap();
         assert!(s.resident_bytes() > 0, "active level stays resident");
-        assert!(s.oversized_resident() >= 1);
+        assert!(s.counters().oversized_resident >= 1);
         s.seal_level().unwrap();
         assert_eq!(s.resident_bytes(), 0, "sealing makes it evictable");
     }
@@ -1507,7 +1500,11 @@ mod tests {
         s.seal_level().unwrap();
         let _ = s.get(key).unwrap();
         let _ = s.get(key).unwrap();
-        assert_eq!(s.disk_reads(), 0, "hot key must be served from cache");
+        assert_eq!(
+            s.counters().disk_reads,
+            0,
+            "hot key must be served from cache"
+        );
     }
 
     #[test]
@@ -1708,9 +1705,13 @@ mod tests {
         let phase = s.begin_read_phase();
         let _ = s.get(key).unwrap();
         let _ = s.get(key).unwrap();
-        assert_eq!(s.disk_reads(), 1, "second fetch hits the pinned entry");
+        assert_eq!(
+            s.counters().disk_reads,
+            1,
+            "second fetch hits the pinned entry"
+        );
         assert!(s.resident_bytes() > 0, "pinned over a zero budget");
-        assert_eq!(s.snapshot_pins(), 1);
+        assert_eq!(s.counters().pins, 1);
         s.end_read_phase(phase);
         assert_eq!(s.resident_bytes(), 0, "phase end evicts to budget");
     }

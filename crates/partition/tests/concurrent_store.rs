@@ -56,7 +56,7 @@ fn concurrent_disjoint_reads_are_byte_identical() {
     });
     store.end_read_phase(phase);
     assert_eq!(
-        store.disk_reads(),
+        store.counters().disk_reads,
         u64::from(N),
         "each cold key is read exactly once"
     );
@@ -103,11 +103,11 @@ fn concurrent_shared_key_flood_reads_each_key_once() {
     });
     store.end_read_phase(phase);
     assert_eq!(
-        store.disk_reads(),
+        store.counters().disk_reads,
         u64::from(N),
         "{THREADS} threads x {ROUNDS} rounds must coalesce to one read per key"
     );
-    assert_eq!(store.snapshot_pins(), u64::from(N));
+    assert_eq!(store.counters().pins, u64::from(N));
     assert_eq!(store.resident_bytes(), 0, "phase end evicts to zero budget");
 }
 
@@ -144,7 +144,7 @@ fn read_counts_are_reproducible_across_runs() {
                 });
                 store.end_read_phase(phase);
             }
-            store.disk_reads()
+            store.counters().disk_reads
         })
         .collect();
     assert_eq!(totals[0], totals[1]);

@@ -1,15 +1,17 @@
 //! Service counters behind `/metrics`.
 //!
 //! Everything is a relaxed atomic or a short-held mutex: metrics recording
-//! sits on the worker hot path and must never serialize the pool. The
-//! per-level search timings reuse the `TaneStats::level_times` instrumented
-//! in `tane-core` — the service aggregates them across jobs so `/metrics`
-//! shows where lattice time actually goes, level by level.
+//! sits on the worker hot path and must never serialize the pool. Search
+//! statistics fold through the counter table (`TaneStats::counters`), one
+//! total per row; the per-level search timings reuse the
+//! `TaneStats::level_times` instrumented in `tane-core` — the service
+//! aggregates them across jobs so `/metrics` shows where lattice time
+//! actually goes, level by level.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-use tane_core::TaneStats;
+use tane_core::{CounterKind, CounterValue, TaneStats};
 use tane_util::Json;
 
 use crate::cache::CacheStats;
@@ -61,20 +63,12 @@ pub struct Metrics {
     first_level_count: AtomicU64,
     workers_total: usize,
     level_times: Mutex<Vec<LevelAgg>>,
-    disk_bytes_read: AtomicU64,
-    disk_bytes_written: AtomicU64,
-    store_evictions: AtomicU64,
-    store_pins: AtomicU64,
-    store_oversized_resident: AtomicU64,
-    parallel_grains: AtomicU64,
-    worker_steals: AtomicU64,
-    worker_parks: AtomicU64,
-    worker_spin_nanos: AtomicU64,
-    worker_busy_nanos: AtomicU64,
-    fetch_stall_nanos: AtomicU64,
+    /// One total per counter-table row, in table order: counts summed,
+    /// seconds summed as nanoseconds. Rows without a sum (per-level
+    /// seconds, a level) stay 0.
+    search: [AtomicU64; TaneStats::COUNTERS],
+    /// Ranked searches folded into `search`.
     topk_searches: AtomicU64,
-    topk_bound_pruned: AtomicU64,
-    topk_improvements: AtomicU64,
 }
 
 impl Metrics {
@@ -99,47 +93,26 @@ impl Metrics {
             first_level_count: AtomicU64::new(0),
             workers_total,
             level_times: Mutex::new(Vec::new()),
-            disk_bytes_read: AtomicU64::new(0),
-            disk_bytes_written: AtomicU64::new(0),
-            store_evictions: AtomicU64::new(0),
-            store_pins: AtomicU64::new(0),
-            store_oversized_resident: AtomicU64::new(0),
-            parallel_grains: AtomicU64::new(0),
-            worker_steals: AtomicU64::new(0),
-            worker_parks: AtomicU64::new(0),
-            worker_spin_nanos: AtomicU64::new(0),
-            worker_busy_nanos: AtomicU64::new(0),
-            fetch_stall_nanos: AtomicU64::new(0),
+            search: std::array::from_fn(|_| AtomicU64::new(0)),
             topk_searches: AtomicU64::new(0),
-            topk_bound_pruned: AtomicU64::new(0),
-            topk_improvements: AtomicU64::new(0),
         }
     }
 
-    /// Folds one finished search into the aggregates.
-    pub fn record_search(&self, stats: &TaneStats) {
-        self.disk_bytes_read
-            .fetch_add(stats.disk_bytes_read, Ordering::Relaxed);
-        self.disk_bytes_written
-            .fetch_add(stats.disk_bytes_written, Ordering::Relaxed);
-        self.store_evictions
-            .fetch_add(stats.store_evictions, Ordering::Relaxed);
-        self.store_pins
-            .fetch_add(stats.store_pins, Ordering::Relaxed);
-        self.store_oversized_resident
-            .fetch_add(stats.oversized_resident, Ordering::Relaxed);
-        self.parallel_grains
-            .fetch_add(stats.parallel_grains, Ordering::Relaxed);
-        self.worker_steals
-            .fetch_add(stats.worker_steals, Ordering::Relaxed);
-        self.worker_parks
-            .fetch_add(stats.worker_parks, Ordering::Relaxed);
-        self.worker_spin_nanos
-            .fetch_add(stats.worker_spin.as_nanos() as u64, Ordering::Relaxed);
-        self.worker_busy_nanos
-            .fetch_add(stats.worker_busy.as_nanos() as u64, Ordering::Relaxed);
-        self.fetch_stall_nanos
-            .fetch_add(stats.fetch_stall.as_nanos() as u64, Ordering::Relaxed);
+    /// Folds one finished search into the aggregates; the ranked-only rows
+    /// count for `ranked` searches alone.
+    pub fn record_search(&self, stats: &TaneStats, ranked: bool) {
+        if ranked {
+            self.topk_searches.fetch_add(1, Ordering::Relaxed);
+        }
+        for (total, c) in self.search.iter().zip(stats.counters()) {
+            let add = match c.value {
+                _ if c.kind == CounterKind::Ranked && !ranked => continue,
+                CounterValue::Count(n) => n,
+                CounterValue::Secs(d) => d.as_nanos() as u64,
+                CounterValue::LevelSecs(_) | CounterValue::Level(_) => continue,
+            };
+            total.fetch_add(add, Ordering::Relaxed);
+        }
         let mut levels = self.level_times.lock().unwrap_or_else(|e| e.into_inner());
         if levels.len() < stats.level_times.len() {
             levels.resize(stats.level_times.len(), LevelAgg::default());
@@ -148,17 +121,6 @@ impl Metrics {
             agg.runs += 1;
             agg.nanos += t.as_nanos() as u64;
         }
-    }
-
-    /// Folds one finished *ranked* search into the top-k aggregates (the
-    /// shared counters go through [`record_search`](Self::record_search) as
-    /// for any other search).
-    pub fn record_topk(&self, stats: &TaneStats) {
-        self.topk_searches.fetch_add(1, Ordering::Relaxed);
-        self.topk_bound_pruned
-            .fetch_add(stats.topk_bound_pruned, Ordering::Relaxed);
-        self.topk_improvements
-            .fetch_add(stats.topk_improvements, Ordering::Relaxed);
     }
 
     /// Records the end of one connection that served `served` requests.
@@ -193,6 +155,21 @@ impl Metrics {
                 })
                 .collect()
         };
+        // The frozen `search` shape names its rows; seconds rows render
+        // their nanosecond totals as seconds.
+        let zero = TaneStats::default();
+        let rows = zero.counters();
+        let total = |name: &str| match rows.iter().position(|c| c.name == name) {
+            Some(i) => {
+                let sum = self.search[i].load(Ordering::Relaxed);
+                match rows[i].value {
+                    CounterValue::Secs(_) => Json::Num(sum as f64 / 1e9),
+                    _ => n(sum),
+                }
+            }
+            None => Json::Null,
+        };
+        let row = |name: &'static str| (name, total(name));
         Json::obj([
             ("uptime_secs", Json::Num(self.start.elapsed().as_secs_f64())),
             (
@@ -262,58 +239,28 @@ impl Metrics {
                 "search",
                 Json::obj([
                     ("level_times", Json::Arr(levels)),
-                    (
-                        "disk_bytes_read",
-                        n(self.disk_bytes_read.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "disk_bytes_written",
-                        n(self.disk_bytes_written.load(Ordering::Relaxed)),
-                    ),
+                    row("disk_bytes_read"),
+                    row("disk_bytes_written"),
                     (
                         "store",
                         Json::obj([
-                            ("evictions", n(self.store_evictions.load(Ordering::Relaxed))),
-                            ("pins", n(self.store_pins.load(Ordering::Relaxed))),
-                            (
-                                "oversized_resident",
-                                n(self.store_oversized_resident.load(Ordering::Relaxed)),
-                            ),
+                            ("evictions", total("store_evictions")),
+                            ("pins", total("store_pins")),
+                            ("oversized_resident", total("oversized_resident")),
                         ]),
                     ),
-                    (
-                        "parallel_grains",
-                        n(self.parallel_grains.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "worker_steals",
-                        n(self.worker_steals.load(Ordering::Relaxed)),
-                    ),
-                    ("worker_parks", n(self.worker_parks.load(Ordering::Relaxed))),
-                    (
-                        "worker_spin_secs",
-                        Json::Num(self.worker_spin_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
-                    (
-                        "worker_busy_secs",
-                        Json::Num(self.worker_busy_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
-                    (
-                        "fetch_stall_secs",
-                        Json::Num(self.fetch_stall_nanos.load(Ordering::Relaxed) as f64 / 1e9),
-                    ),
+                    row("parallel_grains"),
+                    row("worker_steals"),
+                    row("worker_parks"),
+                    row("worker_spin_secs"),
+                    row("worker_busy_secs"),
+                    row("fetch_stall_secs"),
                     (
                         "topk",
                         Json::obj([
                             ("searches", n(self.topk_searches.load(Ordering::Relaxed))),
-                            (
-                                "bound_pruned",
-                                n(self.topk_bound_pruned.load(Ordering::Relaxed)),
-                            ),
-                            (
-                                "improvements",
-                                n(self.topk_improvements.load(Ordering::Relaxed)),
-                            ),
+                            ("bound_pruned", total("topk_bound_pruned")),
+                            ("improvements", total("topk_improvements")),
                         ]),
                     ),
                 ]),
@@ -365,9 +312,9 @@ mod tests {
             worker_busy: Duration::from_millis(40),
             ..TaneStats::default()
         };
-        m.record_search(&stats);
+        m.record_search(&stats, false);
         stats.level_times = vec![Duration::from_millis(10)];
-        m.record_search(&stats);
+        m.record_search(&stats, false);
 
         m.connections_total.fetch_add(2, Ordering::Relaxed);
         m.connections_reused.fetch_add(1, Ordering::Relaxed);

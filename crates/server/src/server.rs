@@ -416,10 +416,9 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
     };
     match outcome {
         Ok(result) => {
-            shared.metrics.record_search(&result.stats);
-            if matches!(job.mode, DiscoverMode::TopK(_)) {
-                shared.metrics.record_topk(&result.stats);
-            }
+            shared
+                .metrics
+                .record_search(&result.stats, matches!(job.mode, DiscoverMode::TopK(_)));
             Ok(Arc::new(shape_result(
                 &job.relation,
                 &result,
@@ -495,67 +494,6 @@ fn render_trailer(dataset: &str, result: &CachedResult) -> String {
 /// the observer's per-level NDJSON record, kept for stream replay.
 fn shape_result(relation: &Relation, result: &TaneResult, levels: Vec<String>) -> CachedResult {
     let names = relation.schema().names();
-    let s = &result.stats;
-    let mut stat_members = vec![
-        ("levels", Json::Num(s.levels as f64)),
-        ("sets_total", Json::Num(s.sets_total as f64)),
-        ("sets_max_level", Json::Num(s.sets_max_level as f64)),
-        ("validity_tests", Json::Num(s.validity_tests as f64)),
-        ("keys_found", Json::Num(s.keys_found as f64)),
-        ("products", Json::Num(s.products as f64)),
-        (
-            "partitions_supplied",
-            Json::Num(s.partitions_supplied as f64),
-        ),
-        (
-            "g3_exact_computations",
-            Json::Num(s.g3_exact_computations as f64),
-        ),
-        (
-            "g3_decided_by_bounds",
-            Json::Num(s.g3_decided_by_bounds as f64),
-        ),
-        ("disk_reads", Json::Num(s.disk_reads as f64)),
-        ("disk_writes", Json::Num(s.disk_writes as f64)),
-        ("disk_bytes_read", Json::Num(s.disk_bytes_read as f64)),
-        ("disk_bytes_written", Json::Num(s.disk_bytes_written as f64)),
-        ("store_evictions", Json::Num(s.store_evictions as f64)),
-        ("store_pins", Json::Num(s.store_pins as f64)),
-        ("oversized_resident", Json::Num(s.oversized_resident as f64)),
-        ("parallel_workers", Json::Num(s.parallel_workers as f64)),
-        ("parallel_grains", Json::Num(s.parallel_grains as f64)),
-        ("worker_steals", Json::Num(s.worker_steals as f64)),
-        ("worker_parks", Json::Num(s.worker_parks as f64)),
-        ("worker_spin_secs", Json::Num(s.worker_spin.as_secs_f64())),
-        ("worker_busy_secs", Json::Num(s.worker_busy.as_secs_f64())),
-        ("fetch_stall_secs", Json::Num(s.fetch_stall.as_secs_f64())),
-        (
-            "level_secs",
-            Json::Arr(
-                s.level_times
-                    .iter()
-                    .map(|t| Json::Num(t.as_secs_f64()))
-                    .collect(),
-            ),
-        ),
-        ("elapsed_secs", Json::Num(s.elapsed.as_secs_f64())),
-    ];
-    // Ranked runs only: the pruning counters and the final heap. Gated on
-    // the mode so exact/approximate responses — /v1 and legacy alike —
-    // keep their historical bytes.
-    if result.ranked.is_some() {
-        stat_members.push(("topk_bound_pruned", Json::Num(s.topk_bound_pruned as f64)));
-        stat_members.push(("topk_dominated", Json::Num(s.topk_dominated as f64)));
-        stat_members.push(("topk_improvements", Json::Num(s.topk_improvements as f64)));
-        stat_members.push((
-            "topk_early_exit_level",
-            match s.topk_early_exit_level {
-                Some(l) => Json::Num(l as f64),
-                None => Json::Null,
-            },
-        ));
-    }
-    let stats = Json::obj(stat_members);
     CachedResult {
         fds: result.fds.iter().map(|fd| fd.display_with(names)).collect(),
         keys: result
@@ -563,8 +501,10 @@ fn shape_result(relation: &Relation, result: &TaneResult, levels: Vec<String>) -
             .iter()
             .map(|k| k.display_with(names).to_string())
             .collect(),
-        stats,
-        compute_secs: s.elapsed.as_secs_f64(),
+        // The ranked-only rows are gated on the mode so exact/approximate
+        // responses — /v1 and legacy alike — keep their historical bytes.
+        stats: Json::obj(result.stats.json_members(result.ranked.is_some())),
+        compute_secs: result.stats.elapsed.as_secs_f64(),
         levels,
         ranked: result
             .ranked
@@ -1245,9 +1185,12 @@ fn parse_discover_on(
                     BodyError::invalid("`cache_mb` must be a non-negative integer")
                 })?,
             };
-            Storage::Disk {
-                cache_bytes: mb << 20,
-            }
+            let cache_bytes = mb.checked_mul(1 << 20).ok_or_else(|| {
+                BodyError::invalid(format!(
+                    "`cache_mb` {mb} is too large: the byte count overflows"
+                ))
+            })?;
+            Storage::Disk { cache_bytes }
         }
         Some(Some(other)) => {
             return Err(BodyError::invalid(format!(
@@ -1664,6 +1607,28 @@ mod tests {
             );
         }
         assert!(parse_discover(br#"{"dataset":"x","cache_mb":4}"#, false).is_err());
+        // A size whose byte count overflows is a typed error: 2^44 MiB is
+        // 2^64 bytes, one past the largest byte count; 2^44 − 1 still fits.
+        let err = parse_discover_on(
+            br#"{"dataset":"wbc","storage":"disk","cache_mb":17592186044416}"#,
+            true,
+            2,
+        )
+        .unwrap_err();
+        assert_eq!(err.code, "invalid-body");
+        assert!(err.message.contains("cache_mb"), "{}", err.message);
+        let s = parse_discover_on(
+            br#"{"dataset":"wbc","storage":"disk","cache_mb":17592186044415}"#,
+            true,
+            2,
+        )
+        .unwrap();
+        assert_eq!(
+            s.storage,
+            Storage::Disk {
+                cache_bytes: 17592186044415 << 20
+            }
+        );
     }
 
     #[test]
@@ -1771,5 +1736,116 @@ mod tests {
         assert!(!valid_name("a/b"));
         assert!(!valid_name("a b"));
         assert!(!valid_name(&"x".repeat(200)));
+    }
+
+    /// A `TaneStats` whose every counter is distinct, so a swapped,
+    /// misnamed or misplaced row changes the rendered bytes.
+    fn distinct_stats() -> tane_core::TaneStats {
+        tane_core::TaneStats {
+            levels: 3,
+            sets_per_level: vec![2, 1, 1],
+            sets_total: 4,
+            sets_max_level: 2,
+            validity_tests: 5,
+            g3_exact_computations: 6,
+            g3_decided_by_bounds: 7,
+            keys_found: 8,
+            products: 9,
+            partitions_supplied: 10,
+            disk_reads: 11,
+            disk_writes: 12,
+            disk_bytes_read: 13,
+            disk_bytes_written: 14,
+            peak_resident_bytes: 15,
+            store_evictions: 16,
+            store_pins: 17,
+            oversized_resident: 18,
+            parallel_workers: 19,
+            parallel_grains: 20,
+            worker_steals: 21,
+            worker_parks: 22,
+            worker_spin: Duration::new(1, 234_567_891),
+            worker_busy: Duration::new(0, 987_654_321),
+            fetch_stall: Duration::new(2, 1),
+            topk_bound_pruned: 23,
+            topk_dominated: 24,
+            topk_improvements: 25,
+            topk_early_exit_level: Some(2),
+            level_times: vec![Duration::new(0, 333_333_333), Duration::new(1, 1)],
+            elapsed: Duration::new(3, 141_592_653),
+        }
+    }
+
+    /// The stats object of `/v1/discover` and the `search` object of
+    /// `/v1/metrics`, byte for byte. Legacy bodies are frozen, so these
+    /// strings only ever change on purpose.
+    #[test]
+    fn stats_wire_bytes_are_pinned() {
+        const PLAIN: &str = concat!(
+            r#"{"levels":3,"sets_total":4,"sets_max_level":2,"validity_tests":5,"#,
+            r#""keys_found":8,"products":9,"partitions_supplied":10,"#,
+            r#""g3_exact_computations":6,"g3_decided_by_bounds":7,"disk_reads":11,"#,
+            r#""disk_writes":12,"disk_bytes_read":13,"disk_bytes_written":14,"#,
+            r#""store_evictions":16,"store_pins":17,"oversized_resident":18,"#,
+            r#""parallel_workers":19,"parallel_grains":20,"worker_steals":21,"#,
+            r#""worker_parks":22,"worker_spin_secs":1.234567891,"#,
+            r#""worker_busy_secs":0.987654321,"fetch_stall_secs":2.000000001,"#,
+            r#""level_secs":[0.333333333,1.000000001],"elapsed_secs":3.141592653}"#
+        );
+        const RANKED: &str =
+            r#","topk_bound_pruned":23,"topk_dominated":24,"topk_improvements":25,"#;
+        let relation = Relation::builder(tane_relation::Schema::new(["A"]).unwrap()).build();
+        let render = |ranked: Option<Vec<RankedFd>>, stats: tane_core::TaneStats| {
+            let result = TaneResult {
+                fds: Vec::new(),
+                keys: Vec::new(),
+                ranked,
+                stats,
+            };
+            shape_result(&relation, &result, Vec::new()).stats.render()
+        };
+        let head = &PLAIN[..PLAIN.len() - 1];
+        assert_eq!(render(None, distinct_stats()), PLAIN);
+        assert_eq!(
+            render(Some(Vec::new()), distinct_stats()),
+            format!("{head}{RANKED}\"topk_early_exit_level\":2}}")
+        );
+        let walked_all = tane_core::TaneStats {
+            topk_early_exit_level: None,
+            ..distinct_stats()
+        };
+        assert_eq!(
+            render(Some(Vec::new()), walked_all),
+            format!("{head}{RANKED}\"topk_early_exit_level\":null}}")
+        );
+
+        // One ranked and one plain search: ranked-only rows fold once,
+        // seconds are summed nanoseconds.
+        let metrics = Metrics::new(1);
+        metrics.record_search(&distinct_stats(), true);
+        metrics.record_search(&distinct_stats(), false);
+        let cache = crate::cache::CacheStats {
+            hits: 0,
+            coalesced: 0,
+            misses: 0,
+            entries: 0,
+            evictions: 0,
+            evicted_compute_secs: 0.0,
+            evicted_stale: 0,
+        };
+        let doc = metrics.render((0, 1), cache);
+        assert_eq!(
+            doc.get("search").unwrap().render(),
+            concat!(
+                r#"{"level_times":[{"level":1,"runs":2,"total_secs":0.666666666},"#,
+                r#"{"level":2,"runs":2,"total_secs":2.000000002}],"#,
+                r#""disk_bytes_read":26,"disk_bytes_written":28,"#,
+                r#""store":{"evictions":32,"pins":34,"oversized_resident":36},"#,
+                r#""parallel_grains":40,"worker_steals":42,"worker_parks":44,"#,
+                r#""worker_spin_secs":2.469135782,"worker_busy_secs":1.975308642,"#,
+                r#""fetch_stall_secs":4.000000002,"#,
+                r#""topk":{"searches":1,"bound_pruned":23,"improvements":25}}"#
+            )
+        );
     }
 }

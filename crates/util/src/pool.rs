@@ -115,6 +115,10 @@ pub struct PoolCounters {
     /// Bounded by construction: a worker gives up an epoch after one full
     /// failed scan of every deque instead of spinning.
     pub spin: Duration,
+    /// Time spent executing job bodies and inline batches. Pool-wide
+    /// only: [`WorkerPool::totals`] fills it, summed across workers, so it
+    /// can exceed wall-clock.
+    pub busy: Duration,
 }
 
 impl PoolCounters {
@@ -210,7 +214,7 @@ impl WorkerPool {
     /// the epoch fully drains (`driver`'s first); the pool stays usable.
     #[allow(unsafe_code)] // audited: the lifetime-erasing transmute below
                           // ORDERING: Release on busy_nanos — pairs with the Acquire load in
-                          // busy_time; the epoch-drain mutex already orders everything else.
+                          // totals; the epoch-drain mutex already orders everything else.
     fn run_overlapped(&self, body: &(dyn Fn(usize) + Sync), driver: impl FnOnce()) {
         {
             // SAFETY: the trait-object lifetime is erased to publish the
@@ -291,7 +295,7 @@ impl WorkerPool {
     /// `f` output.
     // ORDERING: Release on every per-worker counter increment and on the
     // inline busy time — pairs with the Acquire loads in
-    // PoolCounters::accumulate and busy_time (stats are results).
+    // PoolCounters::accumulate and WorkerPool::totals (stats are results).
     pub fn run_indexed_overlapped<T, F, D>(
         &self,
         n: usize,
@@ -388,22 +392,19 @@ impl WorkerPool {
         slots.into_vec()
     }
 
-    /// Summed scheduling counters across all workers.
+    /// Summed scheduling counters and busy time across all workers, over
+    /// the pool's lifetime.
+    // ORDERING: Acquire — busy time is reported in TaneStats; pairs with
+    // the Release fetch_adds at every body-timing site.
     pub fn totals(&self) -> PoolCounters {
-        let mut t = PoolCounters::default();
+        let mut t = PoolCounters {
+            busy: Duration::from_nanos(self.shared.busy_nanos.load(Ordering::Acquire)),
+            ..PoolCounters::default()
+        };
         for cells in &self.shared.counters {
             t.accumulate(cells);
         }
         t
-    }
-
-    /// Total time workers spent executing job bodies and inline batches
-    /// over the pool's lifetime (sums across workers, so it can exceed
-    /// wall-clock).
-    // ORDERING: Acquire — busy time is reported in TaneStats; pairs with
-    // the Release fetch_adds at every body-timing site.
-    pub fn busy_time(&self) -> Duration {
-        Duration::from_nanos(self.shared.busy_nanos.load(Ordering::Acquire))
     }
 }
 
@@ -457,7 +458,7 @@ impl Drop for WorkerPool {
 
 #[allow(unsafe_code)] // audited: dereferences the pointer `run_overlapped` published
                       // ORDERING: Release on busy_nanos and the park counter — pairs with
-                      // the Acquire loads in busy_time/accumulate.
+                      // the Acquire loads in totals/accumulate.
 fn worker_loop(shared: &Shared, id: usize) {
     let mut last_epoch = 0u64;
     let mut state = shared.state.lock().expect("pool state");
@@ -554,7 +555,7 @@ mod tests {
         let out = pool.run_indexed(100, dispatched(100), |_worker, i| i * i);
         assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
         assert!(pool.totals().claims > 0);
-        assert!(pool.busy_time() > Duration::ZERO);
+        assert!(pool.totals().busy > Duration::ZERO);
     }
 
     #[test]
@@ -694,7 +695,7 @@ mod tests {
         assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>());
         let want: Vec<Option<usize>> = std::iter::once(None).chain((0..50).map(Some)).collect();
         assert_eq!(*order.lock().unwrap(), want);
-        assert!(pool.busy_time() > Duration::ZERO);
+        assert!(pool.totals().busy > Duration::ZERO);
         let totals = pool.totals();
         assert_eq!((totals.claims, totals.steals), (0, 0));
     }

@@ -25,6 +25,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # by the in-tree analyzer — including the derived lock-order graph and
 # the interprocedural determinism taint.
 cargo run -q -p tane-lint --release
+# The benchmark harness is its own Cargo package, so the root build never
+# compiles it; type-check it here so a rename of any workspace item it
+# uses fails tier-1 instead of the benchmark run. `--locked` keeps the
+# check from rewriting perfbench/Cargo.lock.
+cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 
 if [[ "$FULL" == "1" ]]; then
     ./scripts/sanitize.sh

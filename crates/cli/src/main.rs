@@ -13,8 +13,9 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use tane_core::{
-    discover_approx_fds_with, discover_fds_with, discover_topk_fds_with, ApproxTaneConfig,
-    LevelEvent, TaneConfig, TaneStats, TopKConfig, TopKEvent,
+    discover_approx_fds, discover_approx_fds_with, discover_fds, discover_fds_with,
+    discover_topk_fds_with, ApproxTaneConfig, LevelEvent, TaneConfig, TaneStats, TopKConfig,
+    TopKEvent,
 };
 use tane_relation::csv::{read_csv, write_csv, CsvOptions};
 use tane_relation::{NullSemantics, Relation};
@@ -51,7 +52,7 @@ tane — discovery of functional and approximate dependencies (TANE, ICDE 1998)
 
 USAGE:
     tane discover <FILE.csv> [OPTIONS]    discover minimal dependencies
-    tane patch <FILE.csv> [OPTIONS]       apply a row delta, re-verify incrementally
+    tane patch <FILE.csv> [OPTIONS]       apply a row delta, discover on the merged rows
     tane dataset <NAME> [OPTIONS]         generate a synthetic benchmark dataset
     tane profile <FILE.csv> [OPTIONS]     print a per-column profile
     tane serve [OPTIONS]                  run the HTTP discovery service
@@ -85,12 +86,11 @@ PATCH OPTIONS:
     --delete <I,J,...>   0-based row indices of the base file to delete
     --epsilon <E>        g3 error threshold in [0,1]; 0 = exact FDs (default)
     --threads <N>        worker threads (results identical at any count)
-    --stats              print incremental-engine statistics after the FDs
+    --stats              print search statistics after the FDs
     --no-header / --delimiter / --nulls   as for discover
-    Discovers on the base file first (warming the engine's partition
-    trackers), applies the delta, then re-verifies incrementally: merged
-    partitions come from the trackers instead of new partition products.
-    Prints the post-patch dependencies.
+    Applies the delta to the base file's rows, then discovers on the
+    merged rows: the output equals `tane discover` on a CSV of the
+    surviving and appended rows. Prints the post-patch dependencies.
 
 DATASET OPTIONS (NAME: lymphography | hepatitis | wbc | adult | chess):
     --copies <N>         concatenate N disjoint copies (the paper's ×n datasets)
@@ -386,9 +386,9 @@ fn discover(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `tane patch` — the incremental path, end to end and offline: discover
-/// on the base file (warming the engine's partition trackers), apply the
-/// row delta, re-verify incrementally, print the post-patch dependencies.
+/// `tane patch` — the service's PATCH path, end to end and offline: apply
+/// the row delta to the base file's rows, discover on the merged snapshot,
+/// print the post-patch dependencies.
 fn patch(args: &[String]) -> Result<(), String> {
     let opts = parse_opts(
         args,
@@ -461,35 +461,21 @@ fn patch(args: &[String]) -> Result<(), String> {
         tane_delta::EngineLimits::default(),
     )
     .map_err(|e| format!("base file: {e}"))?;
+    let outcome = engine.patch(&delta).map_err(|e| e.to_string())?;
+    let merged = engine.merged();
+    let names = merged.schema().names().to_vec();
     let config = TaneConfig {
         threads,
         ..TaneConfig::default()
     };
-    let quiet = |_: LevelEvent| {};
-    // Warm run on the base rows: this is the "previous" discovery whose
-    // partitions the engine keeps.
-    let cold = if epsilon > 0.0 {
-        let approx = ApproxTaneConfig {
-            base: config.clone(),
-            ..ApproxTaneConfig::new(epsilon)
-        };
-        engine.discover_approx_with(&approx, quiet)
-    } else {
-        engine.discover_exact_with(&config, quiet)
-    }
-    .map_err(|e| e.to_string())?;
-
-    let outcome = engine.patch(&delta).map_err(|e| e.to_string())?;
-    let merged = engine.merged();
-    let names = merged.schema().names().to_vec();
     let result = if epsilon > 0.0 {
         let approx = ApproxTaneConfig {
             base: config,
             ..ApproxTaneConfig::new(epsilon)
         };
-        engine.discover_approx_with(&approx, quiet)
+        discover_approx_fds(&merged, &approx)
     } else {
-        engine.discover_exact_with(&config, quiet)
+        discover_fds(&merged, &config)
     }
     .map_err(|e| e.to_string())?;
 
@@ -507,7 +493,6 @@ fn patch(args: &[String]) -> Result<(), String> {
             "# appended/deleted: {}/{}",
             outcome.appended, outcome.deleted
         );
-        eprintln!("# base run products: {}", cold.stats.products);
         print_stats(&result.stats, false);
     }
     Ok(())

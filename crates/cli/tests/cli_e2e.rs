@@ -143,6 +143,58 @@ fn serve_refuses_an_overflowing_disk_quota() {
     panic!("serve started with a quota of 2^44 MB");
 }
 
+/// `tane patch` answers exactly like `tane discover` on a CSV of the
+/// surviving and appended rows, exact and approximate, at any thread count.
+#[test]
+fn patch_matches_discover_on_the_merged_rows() {
+    let base = write_fixture(
+        "patch-base.csv",
+        "A,B,C\n1,x,10\n2,x,10\n3,y,20\n4,y,20\n5,q,30\n",
+    );
+    let more = write_fixture("patch-more.csv", "A,B,C\n6,x,99\n7,y,20\n");
+    let merged = write_fixture(
+        "patch-merged.csv",
+        "A,B,C\n1,x,10\n2,x,10\n3,y,20\n4,y,20\n6,x,99\n7,y,20\n",
+    );
+    let [base, more, merged] = [&base, &more, &merged].map(|p| p.to_str().unwrap());
+    for epsilon in ["0", "0.05"] {
+        for threads in ["1", "8"] {
+            let flags = ["--epsilon", epsilon, "--threads", threads];
+            let patched = tane()
+                .args(["patch", base, "--append", more, "--delete", "4", "--stats"])
+                .args(flags)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8(patched.stderr).unwrap();
+            assert!(patched.status.success(), "{stderr}");
+            assert!(stderr.contains("# partitions_supplied: 0\n"), "{stderr}");
+            assert!(!stderr.contains("base run"), "{stderr}");
+            let discovered = tane()
+                .args(["discover", merged])
+                .args(flags)
+                .output()
+                .unwrap();
+            assert!(discovered.status.success());
+            assert_eq!(
+                String::from_utf8(patched.stdout).unwrap(),
+                String::from_utf8(discovered.stdout).unwrap(),
+                "epsilon {epsilon}, threads {threads}"
+            );
+        }
+    }
+
+    let out = tane()
+        .args(["patch", base, "--delete", "9"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("row index 9 is out of range"), "{stderr}");
+    for path in [base, more, merged] {
+        std::fs::remove_file(path).unwrap();
+    }
+}
+
 #[test]
 fn dataset_roundtrip_through_discover() {
     let csv = std::env::temp_dir().join(format!("tane-cli-test-{}-wbc.csv", std::process::id()));

@@ -15,7 +15,7 @@
 //!
 //! ## Ordering and determinism
 //!
-//! The heap orders entries by [`rank_key`]: `(g3_rows, |lhs|, rhs, lhs)` —
+//! The heap orders entries by `rank_key`: `(g3_rows, |lhs|, rhs, lhs)` —
 //! score first, then the canonical `(rhs, lhs)` order of
 //! [`canonical_fds`](tane_util::canonical_fds) refined by LHS cardinality.
 //! Putting `|lhs|` immediately after the score is load-bearing for pruning

@@ -168,8 +168,7 @@ pub fn discover_topk_fds_with(
     )
 }
 
-/// [`discover_fds_with`] with an external partition supplier: the
-/// incremental **re-verify** entry point used by the `tane-delta` engine.
+/// [`discover_fds_with`] with an external partition supplier.
 ///
 /// The search runs exactly as usual, except that every next-level candidate
 /// is first offered to `hooks.supply`; a supplied partition skips that
@@ -180,6 +179,9 @@ pub fn discover_topk_fds_with(
 /// independent of class order, the discovered dependencies, keys, and
 /// [`LevelEvent`] stream are byte-identical to a from-scratch run on the
 /// same relation — only the product counters differ.
+///
+/// The only caller in the tree is perfbench's outside-in replay, whose
+/// supplier returns `None` and just logs the candidate order.
 pub fn reverify_fds_with(
     relation: &Relation,
     config: &TaneConfig,
@@ -218,7 +220,8 @@ pub fn reverify_approx_fds_with(
     )
 }
 
-/// External partition supply for the incremental re-verify pass.
+/// External partition supply for `reverify_fds_with` and
+/// `reverify_approx_fds_with`.
 ///
 /// `supply` is called once per [`NextLevelCandidate`], in the deterministic
 /// candidate order of GENERATE-NEXT-LEVEL, on the serial driver thread —
@@ -662,12 +665,12 @@ fn run(
 
         let candidates = generate_next_level(&current);
         let mut next = Level::new();
-        // Incremental re-verify: offer every candidate, in order, to the
-        // supplier first — still on the driver thread, still in the
-        // deterministic candidate order of GENERATE-NEXT-LEVEL, *before*
-        // any product is dispatched. A supplied partition already equals
-        // the Lemma 3 product (as a set of classes), so its product is
-        // skipped.
+        // External supply (`ReverifyHooks`): offer every candidate, in
+        // order, to the supplier first — still on the driver thread, still
+        // in the deterministic candidate order of GENERATE-NEXT-LEVEL,
+        // *before* any product is dispatched. A supplied partition already
+        // equals the Lemma 3 product (as a set of classes), so its product
+        // is skipped.
         let mut supplied: Vec<Option<StrippedPartition>> = match hooks.as_deref_mut() {
             Some(h) => candidates.iter().map(|c| (h.supply)(c)).collect(),
             None => (0..candidates.len()).map(|_| None).collect(),

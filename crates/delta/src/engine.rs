@@ -1,65 +1,37 @@
-//! The per-dataset incremental discovery engine.
+//! The per-dataset write path.
 //!
-//! A [`DatasetEngine`] owns a [`DeltaStore`] (the mutable row storage, the
-//! LSM write path), the materialized merged [`Relation`] of the current
-//! generation, and a set of [`NodeTracker`]s — one per lattice node the
-//! last discovery run visited. The lifecycle per operation:
+//! A [`DatasetEngine`] owns a [`DeltaStore`] (the mutable row storage with
+//! stable dictionary codes) and the materialized merged [`Relation`] of the
+//! current generation. A **patch** validates against the per-patch row
+//! cap, applies the row delta to the store and re-materializes the merged
+//! relation; the content hash changes with every effective patch, which is
+//! what drives the server's cache invalidation. Discovery is not the
+//! engine's business: a caller takes a [`merged`](DatasetEngine::merged)
+//! snapshot and runs the plain search on it, so the answer for a patched
+//! dataset is by construction the answer for a fresh upload of the same
+//! rows (proved byte for byte by `tests/incremental_determinism`).
 //!
-//! * **patch** — validate against the per-patch row cap, auto-sync the
-//!   trackers when the delta buffer would overflow its bound (the LSM
-//!   "flush"), apply the patch to the store, re-materialize the merged
-//!   relation. The content hash changes with every effective patch, which
-//!   is what drives the server's cache invalidation.
-//! * **discover** — sync trackers to the current generation, then run the
-//!   core search via [`ReverifyHooks`]: every next-level candidate whose
-//!   node has a current tracker gets its partition *supplied* (counted in
-//!   [`TaneStats::partitions_supplied`]) instead of producted; only nodes
-//!   whose inputs actually changed — appended/deleted rows always touch
-//!   every partition, but **new lattice nodes** (first discovery, changed
-//!   pruning) — pay the full product. After the run the tracker set is
-//!   rebuilt to exactly the visited nodes, in visited (lattice) order,
-//!   within the byte budget.
-//!
-//! Both operations serialize on one mutex: a discovery runs against a
-//! coherent generation, and a patch never mutates rows under a running
-//! search. Determinism: syncing walks trackers in (level, bits) order,
-//! supply happens on the core driver thread in exact candidate order, and
-//! supplied partitions equal the producted ones as sets of classes — so
-//! incremental output is byte-identical to a cold run on the merged
-//! relation at any thread count (proved by `tests/incremental_determinism`).
+//! One mutex guards the store and the snapshot together, so a patch and a
+//! snapshot read never interleave. Searches hold no lock: a snapshot is an
+//! immutable `Arc`, and any number of searches on one dataset run side by
+//! side while patches move the dataset past them.
 
 use std::sync::{Arc, Mutex};
 
-use crate::tracker::NodeTracker;
-use tane_core::{
-    reverify_approx_fds_with, reverify_fds_with, ApproxTaneConfig, LevelEvent, NextLevelCandidate,
-    ReverifyHooks, TaneConfig, TaneError, TaneResult,
-};
-use tane_partition::StrippedPartition;
 use tane_relation::{DeltaStore, NullSemantics, Relation, RelationError, RowPatch};
-use tane_util::{AttrSet, FxHashMap, FxHashSet};
 
-/// Bounds on the engine's mutable state.
+/// Bounds on one engine's writes.
 #[derive(Debug, Clone)]
 pub struct EngineLimits {
     /// Most rows (appends + deletes) a single patch may touch; larger
     /// patches are refused (the server maps this to HTTP 413).
     pub max_patch_rows: usize,
-    /// Delta-buffer bound: when a patch would push the buffered row count
-    /// (appends + deletes since the last sync) past this, the engine
-    /// syncs its trackers first, emptying the buffer.
-    pub max_buffered_rows: usize,
-    /// Approximate byte budget for trackers; once exceeded, further
-    /// visited nodes are simply not tracked (they fall back to products).
-    pub max_tracked_bytes: usize,
 }
 
 impl Default for EngineLimits {
     fn default() -> EngineLimits {
         EngineLimits {
             max_patch_rows: 65_536,
-            max_buffered_rows: 262_144,
-            max_tracked_bytes: 256 << 20,
         }
     }
 }
@@ -120,14 +92,12 @@ impl std::error::Error for PatchError {
 struct Inner {
     store: DeltaStore,
     /// The current generation, materialized. Handed out as a snapshot to
-    /// jobs; replaced (never mutated) by patches.
+    /// searches; replaced (never mutated) by patches.
     merged: Arc<Relation>,
-    /// Trackers for the lattice nodes of the last discovery run, all
-    /// synced to the store's checkpoint.
-    trackers: FxHashMap<AttrSet, NodeTracker>,
 }
 
-/// Mutable, incrementally re-verifiable dataset (see module docs).
+/// A patchable dataset: its row store and current snapshot (see module
+/// docs).
 pub struct DatasetEngine {
     limits: EngineLimits,
     /// Named `state`, not `inner`: lock identity in the derived lock-order
@@ -137,8 +107,8 @@ pub struct DatasetEngine {
 }
 
 impl DatasetEngine {
-    /// Wraps `base` for incremental discovery. `nulls` must match the
-    /// semantics `base` was ingested with (the server and CLI use
+    /// Wraps `base` for patching. `nulls` must match the semantics `base`
+    /// was ingested with (the server and CLI use
     /// [`NullSemantics::NullsEqual`], the paper behaviour).
     ///
     /// # Errors
@@ -156,14 +126,8 @@ impl DatasetEngine {
             state: Mutex::new(Inner {
                 store,
                 merged: base,
-                trackers: FxHashMap::default(),
             }),
         })
-    }
-
-    /// The configured limits.
-    pub fn limits(&self) -> &EngineLimits {
-        &self.limits
     }
 
     /// Current store generation (0 until the first effective patch).
@@ -177,14 +141,10 @@ impl DatasetEngine {
         Arc::clone(&self.lock().merged)
     }
 
-    /// Lattice nodes currently tracked (0 before the first discovery).
-    pub fn tracked_nodes(&self) -> usize {
-        self.lock().trackers.len()
-    }
-
     /// Applies one patch (deletes before appends) and re-materializes the
-    /// merged relation. Serializes with discovery: a patch waits for a
-    /// running search, and a search sees a coherent generation.
+    /// merged relation. Snapshots taken before the patch keep the old
+    /// generation; the next [`merged`](DatasetEngine::merged) sees the new
+    /// one.
     ///
     /// # Errors
     ///
@@ -199,9 +159,6 @@ impl DatasetEngine {
         }
         let mut guard = self.lock();
         let inner = &mut *guard;
-        if inner.store.buffered_rows() + patch.rows_touched() > self.limits.max_buffered_rows {
-            sync_trackers(inner);
-        }
         let old_hash = inner.merged.content_hash();
         inner.store.apply(patch).map_err(PatchError::Relation)?;
         inner.merged = Arc::new(inner.store.materialize().map_err(PatchError::Relation)?);
@@ -221,205 +178,13 @@ impl DatasetEngine {
         })
     }
 
-    /// Incremental exact discovery on the current generation: identical
-    /// output to [`tane_core::discover_fds_with`] on [`merged`], with
-    /// tracked nodes supplied instead of producted.
-    ///
-    /// [`merged`]: DatasetEngine::merged
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TaneError`] from the core search (partition store
-    /// failures on the disk backend).
-    pub fn discover_exact_with(
-        &self,
-        config: &TaneConfig,
-        on_level: impl FnMut(LevelEvent),
-    ) -> Result<TaneResult, TaneError> {
-        self.discover_inner(None, |relation, hooks| {
-            reverify_fds_with(relation, config, hooks, on_level)
-        })
-        .expect("unconditional discovery always runs")
-    }
-
-    /// [`discover_exact_with`](DatasetEngine::discover_exact_with), but
-    /// only if `snapshot` is still the engine's current merged relation —
-    /// checked under the engine lock, so no patch can slip between the
-    /// check and the search. `None` means the engine moved past the
-    /// snapshot; the caller should run a plain (cold) discovery on it so
-    /// its result stays coherent with the generation it was asked about.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TaneError`] from the core search.
-    pub fn discover_exact_for(
-        &self,
-        snapshot: &Arc<Relation>,
-        config: &TaneConfig,
-        on_level: impl FnMut(LevelEvent),
-    ) -> Option<Result<TaneResult, TaneError>> {
-        self.discover_inner(Some(snapshot), |relation, hooks| {
-            reverify_fds_with(relation, config, hooks, on_level)
-        })
-    }
-
-    /// Incremental approximate discovery; identical output to
-    /// [`tane_core::discover_approx_fds_with`] on the merged relation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TaneError`] from the core search.
-    pub fn discover_approx_with(
-        &self,
-        config: &ApproxTaneConfig,
-        on_level: impl FnMut(LevelEvent),
-    ) -> Result<TaneResult, TaneError> {
-        self.discover_inner(None, |relation, hooks| {
-            reverify_approx_fds_with(relation, config, hooks, on_level)
-        })
-        .expect("unconditional discovery always runs")
-    }
-
-    /// Snapshot-gated approximate discovery; see
-    /// [`discover_exact_for`](DatasetEngine::discover_exact_for).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TaneError`] from the core search.
-    pub fn discover_approx_for(
-        &self,
-        snapshot: &Arc<Relation>,
-        config: &ApproxTaneConfig,
-        on_level: impl FnMut(LevelEvent),
-    ) -> Option<Result<TaneResult, TaneError>> {
-        self.discover_inner(Some(snapshot), |relation, hooks| {
-            reverify_approx_fds_with(relation, config, hooks, on_level)
-        })
-    }
-
-    fn discover_inner(
-        &self,
-        expected: Option<&Arc<Relation>>,
-        run: impl FnOnce(&Relation, &mut ReverifyHooks<'_>) -> Result<TaneResult, TaneError>,
-    ) -> Option<Result<TaneResult, TaneError>> {
-        let mut guard = self.lock();
-        let inner = &mut *guard;
-        if let Some(snapshot) = expected {
-            if !Arc::ptr_eq(&inner.merged, snapshot) {
-                return None;
-            }
-        }
-        sync_trackers(inner);
-        let relation = Arc::clone(&inner.merged);
-        let mut visited: Vec<NextLevelCandidate> = Vec::new();
-        let result = {
-            let trackers = &inner.trackers;
-            let mut supply = |c: &NextLevelCandidate| -> Option<StrippedPartition> {
-                visited.push(*c);
-                trackers.get(&c.set).map(NodeTracker::to_stripped)
-            };
-            let mut hooks = ReverifyHooks {
-                supply: &mut supply,
-            };
-            match run(&relation, &mut hooks) {
-                Ok(r) => r,
-                Err(e) => return Some(Err(e)),
-            }
-        };
-        rebuild_trackers(inner, &visited, &self.limits);
-        Some(Ok(result))
-    }
-
-    /// Recovers from a poisoned lock: every guarded structure here is
-    /// valid after any panic (patches validate-then-apply, trackers are
-    /// rebuilt wholesale), so the poison flag carries no information.
+    /// Recovers from a poisoned lock: the guarded store and snapshot are
+    /// valid after any panic (patches validate-then-apply, and the snapshot
+    /// is replaced wholesale), so the poison flag carries no information.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
         self.state
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// The current-generation label vector for `set`: the stable code column
-/// for singletons, a tracker's labels otherwise.
-fn labels_of<'a>(
-    store: &'a DeltaStore,
-    trackers: &'a FxHashMap<AttrSet, NodeTracker>,
-    set: AttrSet,
-) -> Option<&'a [u32]> {
-    if let Some(a) = set.as_singleton() {
-        return Some(store.column(a));
-    }
-    trackers.get(&set).map(NodeTracker::labels)
-}
-
-/// Folds the delta buffer into every tracker (the LSM flush), walking the
-/// lattice bottom-up so each tracker's parents are already current, then
-/// checkpoints the store. Trackers whose parents disappeared (or whose
-/// labels overflowed) are dropped — the next discovery re-products them.
-fn sync_trackers(inner: &mut Inner) {
-    if inner.store.buffered_rows() == 0 {
-        return;
-    }
-    let view = inner.store.delta_view();
-    let mut sets: Vec<AttrSet> = inner.trackers.keys().copied().collect();
-    sets.sort_unstable_by_key(|s| (s.len(), s.bits()));
-    for set in sets {
-        let Some(mut t) = inner.trackers.remove(&set) else {
-            continue;
-        };
-        let (pa_set, pb_set) = t.parents();
-        let ok = match (
-            labels_of(&inner.store, &inner.trackers, pa_set),
-            labels_of(&inner.store, &inner.trackers, pb_set),
-        ) {
-            (Some(pa), Some(pb)) => t.update(&view, pa, pb),
-            _ => false,
-        };
-        if ok {
-            inner.trackers.insert(set, t);
-        }
-    }
-    inner.store.checkpoint();
-}
-
-/// Reconciles the tracker set with the candidates the search just visited:
-/// unvisited trackers are dropped, visited nodes keep their tracker when
-/// its parentage still matches, and new (or re-parented) nodes get a fresh
-/// tracker composed from their parents' labels — in visited order, so
-/// parents are tracked before children — until the byte budget is spent.
-fn rebuild_trackers(inner: &mut Inner, visited: &[NextLevelCandidate], limits: &EngineLimits) {
-    let mut wanted: FxHashSet<AttrSet> = FxHashSet::default();
-    for c in visited {
-        wanted.insert(c.set);
-    }
-    inner.trackers.retain(|set, _| wanted.contains(set));
-    let mut bytes: usize = inner.trackers.values().map(NodeTracker::size_bytes).sum();
-    for c in visited {
-        if let Some(t) = inner.trackers.get(&c.set) {
-            if t.parents() == (c.parent_a, c.parent_b) {
-                continue;
-            }
-            // Same node, different join parents (pruning shifted the
-            // prefix join): the labels are still valid but updates would
-            // mix label spaces, so recompose from the new parents.
-            bytes -= t.size_bytes();
-            inner.trackers.remove(&c.set);
-        }
-        if bytes >= limits.max_tracked_bytes {
-            continue;
-        }
-        let composed = match (
-            labels_of(&inner.store, &inner.trackers, c.parent_a),
-            labels_of(&inner.store, &inner.trackers, c.parent_b),
-        ) {
-            (Some(pa), Some(pb)) => NodeTracker::compose(c.set, c.parent_a, c.parent_b, pa, pb),
-            _ => None,
-        };
-        if let Some(t) = composed {
-            bytes += t.size_bytes();
-            inner.trackers.insert(c.set, t);
-        }
     }
 }
 
@@ -467,10 +232,7 @@ mod tests {
 
     #[test]
     fn oversized_patches_are_refused_untouched() {
-        let limits = EngineLimits {
-            max_patch_rows: 1,
-            ..EngineLimits::default()
-        };
+        let limits = EngineLimits { max_patch_rows: 1 };
         let e = DatasetEngine::new(base(), NullSemantics::NullsEqual, limits).unwrap();
         let err = e
             .patch(&RowPatch {
@@ -497,87 +259,5 @@ mod tests {
             err,
             PatchError::Relation(RelationError::RowOutOfRange { index: 99, .. })
         ));
-    }
-
-    #[test]
-    fn discovery_populates_trackers_then_supplies_them() {
-        let e =
-            DatasetEngine::new(base(), NullSemantics::NullsEqual, EngineLimits::default()).unwrap();
-        let cfg = TaneConfig::default();
-        let cold = e.discover_exact_with(&cfg, |_| {}).unwrap();
-        assert_eq!(cold.stats.partitions_supplied, 0, "nothing tracked yet");
-        assert!(e.tracked_nodes() > 0);
-        // Same generation again: every visited node is supplied.
-        let warm = e.discover_exact_with(&cfg, |_| {}).unwrap();
-        assert_eq!(warm.stats.products, 0);
-        assert_eq!(
-            warm.stats.partitions_supplied, cold.stats.products,
-            "supplied count replaces the cold run's products"
-        );
-        assert_eq!(warm.fds, cold.fds);
-        assert_eq!(warm.keys, cold.keys);
-    }
-
-    #[test]
-    fn zero_tracking_budget_degrades_to_full_products() {
-        let limits = EngineLimits {
-            max_tracked_bytes: 0,
-            ..EngineLimits::default()
-        };
-        let e = DatasetEngine::new(base(), NullSemantics::NullsEqual, limits).unwrap();
-        let cfg = TaneConfig::default();
-        let cold = e.discover_exact_with(&cfg, |_| {}).unwrap();
-        assert_eq!(e.tracked_nodes(), 0);
-        let again = e.discover_exact_with(&cfg, |_| {}).unwrap();
-        assert_eq!(again.stats.partitions_supplied, 0);
-        assert_eq!(again.stats.products, cold.stats.products);
-        assert_eq!(again.fds, cold.fds);
-    }
-
-    #[test]
-    fn snapshot_gate_refuses_stale_generations() {
-        let e =
-            DatasetEngine::new(base(), NullSemantics::NullsEqual, EngineLimits::default()).unwrap();
-        let cfg = TaneConfig::default();
-        let snapshot = e.merged();
-        assert!(
-            e.discover_exact_for(&snapshot, &cfg, |_| {}).is_some(),
-            "current snapshot runs incrementally"
-        );
-        e.patch(&RowPatch {
-            deletes: vec![],
-            appends: vec![row(["4", "q", "t"])],
-        })
-        .unwrap();
-        assert!(
-            e.discover_exact_for(&snapshot, &cfg, |_| {}).is_none(),
-            "a patched-past snapshot must be refused"
-        );
-        assert!(e.discover_exact_for(&e.merged(), &cfg, |_| {}).is_some());
-    }
-
-    #[test]
-    fn buffer_overflow_forces_a_sync() {
-        let limits = EngineLimits {
-            max_buffered_rows: 2,
-            ..EngineLimits::default()
-        };
-        let e = DatasetEngine::new(base(), NullSemantics::NullsEqual, limits).unwrap();
-        let cfg = TaneConfig::default();
-        e.discover_exact_with(&cfg, |_| {}).unwrap();
-        // Each patch touches 2 rows; the second one trips the buffer bound
-        // and must sync rather than refuse.
-        for i in 0..3 {
-            e.patch(&RowPatch {
-                deletes: vec![],
-                appends: vec![row(["9", "w", "s"]), row([&i.to_string(), "w", "s"])],
-            })
-            .unwrap();
-        }
-        let r = e.discover_exact_with(&cfg, |_| {}).unwrap();
-        assert!(
-            r.stats.partitions_supplied > 0,
-            "trackers survived the flushes"
-        );
     }
 }

@@ -1,31 +1,18 @@
 #![forbid(unsafe_code)]
-//! # Incremental discovery: LSM-style row deltas with merge-and-reverify
+//! # Patchable datasets: row deltas over a relation, with generations
 //!
-//! The batch crates answer "what are the dependencies of *this* relation";
-//! this crate answers "the relation just changed — what are they *now*",
-//! without paying for a cold search. The design (DESIGN §11) is an LSM
-//! analogy:
+//! The batch crates answer "what are the dependencies of *this*
+//! relation"; this crate lets a relation change underneath them. A
+//! [`DatasetEngine`] wraps [`tane_relation::DeltaStore`] — appended rows
+//! and deleted row indices applied with stable dictionary codes — and
+//! keeps the current generation materialized as an immutable snapshot
+//! (DESIGN §11). Each effective patch bumps the generation and the
+//! snapshot's content hash, which is what the server keys its caches on.
 //!
-//! * the **write path** is [`tane_relation::DeltaStore`] — appended rows
-//!   and deleted row indices buffered against a checkpoint, with stable
-//!   dictionary codes;
-//! * the **flush** is tracker synchronization: per-lattice-node label
-//!   vectors ([`tracker::NodeTracker`]) absorb the buffered delta in
-//!   `O(rows + delta)` per node, bottom-up so parents feed children;
-//! * the **read path** is merge-and-reverify ([`DatasetEngine`]): the core
-//!   search re-runs on the merged relation, but every lattice node with a
-//!   current tracker gets its stripped partition *supplied*
-//!   ([`tane_core::ReverifyHooks`]) instead of recomputed via Lemma 3
-//!   products — the dominant cost of a TANE run.
-//!
-//! Results are **byte-identical** to a cold run on the equivalent static
-//! relation, at any thread count: supplied partitions equal producted ones
-//! as sets of classes, every partition consumer in the core is
-//! class-order-insensitive, and the engine syncs and supplies in
-//! deterministic lattice order on the driver thread.
+//! Discovery on a patched dataset is the plain search on a snapshot, so it
+//! answers byte for byte like a fresh upload of the same rows, at any
+//! thread count and on either partition store.
 
 pub mod engine;
-pub mod tracker;
 
 pub use engine::{DatasetEngine, EngineLimits, PatchError, PatchOutcome};
-pub use tracker::NodeTracker;

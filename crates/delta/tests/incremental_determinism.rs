@@ -1,14 +1,19 @@
-//! The incremental engine's headline guarantee: after any sequence of
-//! patches, a merge-and-reverify discovery streams and returns **byte
-//! for byte** what a cold discovery on the equivalent static relation
-//! streams and returns — at any thread count, in exact and approximate
-//! mode — while doing strictly fewer partition products.
+//! Incremental patches are deterministic: a patched dataset answers
+//! exactly like a fresh upload of the same rows.
+//!
+//! After two churn patches, one discovery runs on the engine's merged
+//! snapshot and one on a relation rebuilt row by row from the surviving
+//! and appended values (fresh dictionaries, so different codes and a
+//! different content hash). Everything an observer can see — the level
+//! stream, the cover and the keys — must be byte-identical, at any thread
+//! count, on either partition store, exact and approximate; ranked search
+//! must return the same ranking.
 
 use std::sync::Arc;
 
 use tane_core::{
-    discover_approx_fds_with, discover_fds_with, ApproxTaneConfig, LevelEvent, TaneConfig,
-    TaneResult,
+    discover_approx_fds_with, discover_fds_with, discover_topk_fds, ApproxTaneConfig, LevelEvent,
+    Storage, TaneConfig, TaneResult, TopKConfig,
 };
 use tane_delta::{DatasetEngine, EngineLimits};
 use tane_relation::{NullSemantics, Relation, RowPatch, Schema, Value};
@@ -63,30 +68,39 @@ fn relation_from(rows: &[Vec<Value>]) -> Relation {
     b.build()
 }
 
-/// Builds the engine over the base slice, runs one warm-up discovery to
-/// populate the trackers, then applies two churn patches.
-fn churned_engine() -> DatasetEngine {
+/// The patched snapshot and the same rows rebuilt from scratch: two churn
+/// patches through the engine, mirrored on a plain row list (deletes by
+/// pre-patch index, then appends).
+fn patched_and_rebuilt() -> (Arc<Relation>, Relation) {
     let rows = synth_rows(TOTAL_ROWS);
-    let base = Arc::new(relation_from(&rows[..BASE_ROWS]));
-    let engine =
-        DatasetEngine::new(base, NullSemantics::NullsEqual, EngineLimits::default()).unwrap();
-    engine
-        .discover_exact_with(&TaneConfig::default(), |_| {})
-        .unwrap();
-    engine
-        .patch(&RowPatch {
+    let engine = DatasetEngine::new(
+        relation_from(&rows[..BASE_ROWS]).into(),
+        NullSemantics::NullsEqual,
+        EngineLimits::default(),
+    )
+    .unwrap();
+    let patches = [
+        RowPatch {
             deletes: vec![3, 10, 11, 500, 501],
             appends: rows[BASE_ROWS..850].to_vec(),
-        })
-        .unwrap();
-    engine
-        .patch(&RowPatch {
+        },
+        RowPatch {
             deletes: vec![0, 1, 100, 800],
             appends: rows[850..].to_vec(),
-        })
-        .unwrap();
+        },
+    ];
+    let mut survivors = rows[..BASE_ROWS].to_vec();
+    for patch in &patches {
+        engine.patch(patch).unwrap();
+        let mut index = 0;
+        survivors.retain(|_| {
+            index += 1;
+            !patch.deletes.contains(&(index - 1))
+        });
+        survivors.extend_from_slice(&patch.appends);
+    }
     assert_eq!(engine.generation(), 2);
-    engine
+    (engine.merged(), relation_from(&survivors))
 }
 
 /// Everything an observer of a streamed discovery can see, rendered to
@@ -114,118 +128,114 @@ fn observable(levels: &[LevelEvent], result: &TaneResult, schema: &Schema) -> St
     out
 }
 
-fn assert_incremental_matches_cold(threads: usize, epsilon: Option<f64>) {
-    assert_incremental_matches_cold_on(threads, epsilon, TaneConfig::default());
+/// One streamed discovery, exact (`epsilon: None`) or approximate.
+fn discover(relation: &Relation, config: &TaneConfig, epsilon: Option<f64>) -> String {
+    let mut levels = Vec::new();
+    let result = match epsilon {
+        None => discover_fds_with(relation, config, |ev| levels.push(ev)),
+        Some(eps) => {
+            let approx = ApproxTaneConfig {
+                base: config.clone(),
+                ..ApproxTaneConfig::new(eps)
+            };
+            discover_approx_fds_with(relation, &approx, |ev| levels.push(ev))
+        }
+    }
+    .unwrap();
+    if config.storage != Storage::Memory {
+        assert!(
+            result.stats.disk_writes > 0 && result.stats.disk_reads > 0,
+            "the tiny cache budget must force real spills and read-backs \
+             ({} writes, {} reads)",
+            result.stats.disk_writes,
+            result.stats.disk_reads
+        );
+    }
+    observable(&levels, &result, relation.schema())
+}
+
+fn assert_patched_matches_rebuilt(threads: usize, epsilon: Option<f64>, base: TaneConfig) {
+    let (patched, rebuilt) = patched_and_rebuilt();
+    let config = base.with_threads(threads);
+    assert_eq!(
+        discover(&patched, &config, epsilon),
+        discover(&rebuilt, &config, epsilon),
+        "a patched dataset must answer like a fresh upload of its rows \
+         (threads={threads}, epsilon={epsilon:?}, storage={:?})",
+        config.storage
+    );
 }
 
 /// The disk-backed variant: a cache budget small enough that the segment
-/// store actually spills and reads back, so merge-and-reverify exercises
-/// the shared-read snapshot machinery (DESIGN §13) across generation
-/// bumps.
-fn assert_incremental_matches_cold_on_disk(threads: usize, epsilon: Option<f64>) {
-    assert_incremental_matches_cold_on(threads, epsilon, TaneConfig::disk(8 << 10));
-}
-
-fn assert_incremental_matches_cold_on(threads: usize, epsilon: Option<f64>, base: TaneConfig) {
-    let disk = base.storage != tane_core::Storage::Memory;
-    let engine = churned_engine();
-    let merged = engine.merged();
-    let sch = merged.schema().clone();
-
-    let mut inc_levels = Vec::new();
-    let mut cold_levels = Vec::new();
-    let (inc, cold) = match epsilon {
-        None => {
-            let cfg = base.with_threads(threads);
-            let inc = engine
-                .discover_exact_with(&cfg, |ev| inc_levels.push(ev))
-                .unwrap();
-            let cold = discover_fds_with(&merged, &cfg, |ev| cold_levels.push(ev)).unwrap();
-            (inc, cold)
-        }
-        Some(eps) => {
-            let mut cfg = ApproxTaneConfig::new(eps);
-            cfg.base = base.with_threads(threads);
-            let inc = engine
-                .discover_approx_with(&cfg, |ev| inc_levels.push(ev))
-                .unwrap();
-            let cold = discover_approx_fds_with(&merged, &cfg, |ev| cold_levels.push(ev)).unwrap();
-            (inc, cold)
-        }
-    };
-
-    assert_eq!(
-        observable(&inc_levels, &inc, &sch),
-        observable(&cold_levels, &cold, &sch),
-        "incremental output must be byte-identical to a cold run \
-         (threads={threads}, epsilon={epsilon:?})"
-    );
-    assert!(
-        inc.stats.partitions_supplied > 0,
-        "the warm-up run must have left usable trackers"
-    );
-    assert!(
-        inc.stats.products < cold.stats.products,
-        "re-verify must do strictly fewer products ({} vs {})",
-        inc.stats.products,
-        cold.stats.products
-    );
-    assert_eq!(
-        inc.stats.products + inc.stats.partitions_supplied,
-        cold.stats.products,
-        "every node is either supplied or producted"
-    );
-    if disk {
-        assert!(
-            cold.stats.disk_writes > 0 && cold.stats.disk_reads > 0,
-            "the tiny cache budget must force real spills and read-backs \
-             ({} writes, {} reads)",
-            cold.stats.disk_writes,
-            cold.stats.disk_reads
-        );
-    }
+/// store actually spills and reads back.
+fn disk() -> TaneConfig {
+    TaneConfig::disk(8 << 10)
 }
 
 #[test]
 fn exact_single_threaded() {
-    assert_incremental_matches_cold(1, None);
+    assert_patched_matches_rebuilt(1, None, TaneConfig::default());
 }
 
 #[test]
 fn exact_eight_threads() {
-    assert_incremental_matches_cold(8, None);
+    assert_patched_matches_rebuilt(8, None, TaneConfig::default());
 }
 
 #[test]
 fn approx_single_threaded() {
-    assert_incremental_matches_cold(1, Some(0.05));
+    assert_patched_matches_rebuilt(1, Some(0.05), TaneConfig::default());
 }
 
 #[test]
 fn approx_eight_threads() {
-    assert_incremental_matches_cold(8, Some(0.05));
+    assert_patched_matches_rebuilt(8, Some(0.05), TaneConfig::default());
 }
 
 #[test]
 fn exact_disk_single_threaded() {
-    assert_incremental_matches_cold_on_disk(1, None);
+    assert_patched_matches_rebuilt(1, None, disk());
 }
 
 #[test]
 fn exact_disk_eight_threads() {
-    assert_incremental_matches_cold_on_disk(8, None);
+    assert_patched_matches_rebuilt(8, None, disk());
+}
+
+#[test]
+fn approx_disk_single_threaded() {
+    assert_patched_matches_rebuilt(1, Some(0.05), disk());
 }
 
 #[test]
 fn approx_disk_eight_threads() {
-    assert_incremental_matches_cold_on_disk(8, Some(0.05));
+    assert_patched_matches_rebuilt(8, Some(0.05), disk());
 }
 
-/// The merged view is the ground truth: discovery through the engine on a
-/// patched dataset equals discovery on a relation rebuilt from scratch
-/// out of the surviving + appended rows (same values, fresh dictionary).
+#[test]
+fn topk_rankings_match() {
+    let (patched, rebuilt) = patched_and_rebuilt();
+    for threads in [1, 8] {
+        let config = TopKConfig {
+            base: TaneConfig::default().with_threads(threads),
+            k: 12,
+        };
+        let ranked = |r: &Relation| {
+            discover_topk_fds(r, &config)
+                .unwrap()
+                .ranked
+                .expect("ranked mode returns its heap")
+        };
+        let on_patched = ranked(&patched);
+        assert_eq!(on_patched.len(), 12, "threads={threads}");
+        assert_eq!(on_patched, ranked(&rebuilt), "threads={threads}");
+    }
+}
+
 #[test]
 fn merged_view_equals_rebuilt_relation() {
+    // A single patch, on its own: deletes spread over the base, all
+    // remaining rows appended.
     let rows = synth_rows(TOTAL_ROWS);
     let base = Arc::new(relation_from(&rows[..BASE_ROWS]));
     let engine =
@@ -244,9 +254,10 @@ fn merged_view_equals_rebuilt_relation() {
     }
     survivors.extend_from_slice(&rows[BASE_ROWS..]);
     let rebuilt = relation_from(&survivors);
+    assert_eq!(engine.merged().num_rows(), rebuilt.num_rows());
 
     let cfg = TaneConfig::default();
-    let via_engine = engine.discover_exact_with(&cfg, |_| {}).unwrap();
+    let via_engine = discover_fds_with(&engine.merged(), &cfg, |_| {}).unwrap();
     let via_rebuilt = discover_fds_with(&rebuilt, &cfg, |_| {}).unwrap();
     let sch = schema();
     assert_eq!(via_engine.render(&sch), via_rebuilt.render(&sch));

@@ -1,20 +1,16 @@
-//! Mutable row storage for incremental discovery: the write path of the
-//! LSM-style delta engine (`tane-delta`).
+//! Mutable row storage for patchable datasets: the write path behind
+//! `tane-delta`.
 //!
 //! A [`DeltaStore`] wraps a dictionary-encoded base relation and absorbs
 //! [`RowPatch`]es — appended rows and deleted row indices — while keeping
 //! the dictionary codes **stable**: a value that ever received a code keeps
 //! it for the lifetime of the store, across any number of deletes and
-//! re-appends. Stability is the property the incremental partition trackers
-//! in `tane-delta` rely on: a singleton attribute's current code column *is*
-//! a valid label vector for its partition in every generation, so appended
-//! rows can be classified in O(1) against memoized label pairs instead of
-//! re-partitioning the relation (see DESIGN §11).
-//!
-//! The store also tracks the delta since the last *checkpoint* (the last
-//! time a consumer synchronized with it) as a survivor map plus an appended
-//! suffix, which is exactly the shape the partition trackers need to update
-//! themselves in O(|rows| + |delta|).
+//! re-appends. Stability is what keeps a patch cheap: a delete compacts the
+//! code columns and an append encodes only its own cells, and no existing
+//! code is ever rewritten. [`DeltaStore::materialize`] turns the current
+//! rows into an immutable [`Relation`] whose agreement structure — and so
+//! every discovered dependency — equals a fresh ingest of the same rows
+//! (see DESIGN §11).
 
 use crate::error::RelationError;
 use crate::relation::{NullSemantics, Relation};
@@ -44,28 +40,6 @@ impl RowPatch {
     }
 }
 
-/// The composed delta since the last [`DeltaStore::checkpoint`]: current
-/// rows `0..survivors.len()` are checkpoint rows (`survivors[i]` is row
-/// `i`'s index *at the checkpoint*), and every current row from
-/// `survivors.len()` on was appended since.
-#[derive(Debug, Clone)]
-pub struct DeltaView {
-    /// For each surviving checkpoint row, its index at checkpoint time,
-    /// in (preserved) row order.
-    pub survivors: Vec<u32>,
-    /// Total rows at the checkpoint.
-    pub checkpoint_rows: usize,
-}
-
-impl DeltaView {
-    /// `true` when nothing changed since the checkpoint — every checkpoint
-    /// row survived (in place) and nothing was appended yet. The appended
-    /// count lives with the store (`current_rows - survivors.len()`).
-    pub fn no_deletes(&self) -> bool {
-        self.survivors.len() == self.checkpoint_rows
-    }
-}
-
 /// Mutable, dictionary-encoded row storage with stable codes.
 ///
 /// Built from a base [`Relation`] that retains its value dictionaries
@@ -80,9 +54,6 @@ pub struct DeltaStore {
     next_code: Vec<u32>,
     /// Per attribute: the stable codes of the *current* rows.
     columns: Vec<Vec<u32>>,
-    /// Checkpoint-relative survivor map (see [`DeltaView`]).
-    survivors: Vec<u32>,
-    checkpoint_rows: usize,
     generation: u64,
 }
 
@@ -100,7 +71,6 @@ impl DeltaStore {
         nulls: NullSemantics,
     ) -> Result<DeltaStore, RelationError> {
         let n_attrs = base.num_attrs();
-        let n_rows = base.num_rows();
         let mut dicts: Vec<FxHashMap<Value, u32>> = vec![FxHashMap::default(); n_attrs];
         let mut next_code = vec![0u32; n_attrs];
         let mut columns = Vec::with_capacity(n_attrs);
@@ -128,8 +98,6 @@ impl DeltaStore {
             dicts,
             next_code,
             columns,
-            survivors: (0..n_rows as u32).collect(),
-            checkpoint_rows: n_rows,
             generation: 0,
         })
     }
@@ -154,36 +122,10 @@ impl DeltaStore {
         self.generation
     }
 
-    /// The current stable-code column of attribute `a` — a valid partition
-    /// label vector for the singleton `{a}` in this generation.
+    /// The current stable-code column of attribute `a`, one code per
+    /// current row.
     pub fn column(&self, a: usize) -> &[u32] {
         &self.columns[a]
-    }
-
-    /// Rows the delta buffer currently holds against the checkpoint:
-    /// appended rows plus deleted checkpoint rows.
-    pub fn buffered_rows(&self) -> usize {
-        let appended = self.num_rows() - self.survivors.len();
-        let deleted = self.checkpoint_rows - self.survivors.len();
-        appended + deleted
-    }
-
-    /// The composed delta since the last checkpoint.
-    pub fn delta_view(&self) -> DeltaView {
-        DeltaView {
-            survivors: self.survivors.clone(),
-            checkpoint_rows: self.checkpoint_rows,
-        }
-    }
-
-    /// Declares the current state synchronized: subsequent [`delta_view`]s
-    /// are relative to now. Called by the engine after its trackers caught
-    /// up (the LSM "flush" of the delta buffer into the levels).
-    ///
-    /// [`delta_view`]: DeltaStore::delta_view
-    pub fn checkpoint(&mut self) {
-        self.survivors = (0..self.num_rows() as u32).collect();
-        self.checkpoint_rows = self.num_rows();
     }
 
     /// Applies one patch: deletes first (pre-patch indices), then appends.
@@ -231,15 +173,6 @@ impl DeltaStore {
                 }
                 col.truncate(w);
             }
-            // Row order is preserved, so surviving checkpoint rows stay a
-            // prefix and the appended suffix stays a suffix.
-            let mut kept = Vec::with_capacity(self.survivors.len());
-            for (r, &orig) in self.survivors.iter().enumerate() {
-                if !deleted[r] {
-                    kept.push(orig);
-                }
-            }
-            self.survivors = kept;
         }
 
         for row in &patch.appends {
@@ -316,33 +249,6 @@ mod tests {
         .unwrap();
         let code_z = *s.column(0).last().unwrap();
         assert!(code_z >= 2, "fresh codes never collide with old ones");
-    }
-
-    #[test]
-    fn delta_view_composes_across_patches() {
-        let r = base();
-        let mut s = DeltaStore::from_relation(&r, NullSemantics::NullsEqual).unwrap();
-        assert!(s.delta_view().no_deletes());
-        assert_eq!(s.buffered_rows(), 0);
-        s.apply(&RowPatch {
-            deletes: vec![1],
-            appends: vec![vec![Value::from("w"), Value::from("9")]],
-        })
-        .unwrap();
-        // Patch 2 deletes the row appended by patch 1 (current index 2).
-        s.apply(&RowPatch {
-            deletes: vec![2],
-            appends: vec![vec![Value::from("v"), Value::from("8")]],
-        })
-        .unwrap();
-        let view = s.delta_view();
-        assert_eq!(view.checkpoint_rows, 3);
-        assert_eq!(view.survivors, vec![0, 2], "rows 0 and 2 survived");
-        assert_eq!(s.num_rows(), 3);
-        assert_eq!(s.buffered_rows(), 2, "one append + one delete pending");
-        s.checkpoint();
-        assert!(s.delta_view().no_deletes());
-        assert_eq!(s.buffered_rows(), 0);
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! The offline build bars every external crate, so the service speaks the
 //! wire protocol directly — the same spirit in which `tane-cli` hand-rolls
 //! its flag parser. Only the subset the service needs is implemented:
-//! `Content-Length` bodies and persistent connections (keep-alive is the
-//! HTTP/1.1 default, `Connection: close` opts out; HTTP/1.0 clients must
-//! opt in). Chunked transfer encoding on *requests* is rejected, not
-//! ignored: a body the parser cannot frame would desync every later
-//! request on the same connection, so `Transfer-Encoding` is answered 501
-//! and duplicate `Content-Length` headers 400. On *responses* the server
+//! `Content-Length` bodies, the `Expect: 100-continue` handshake, and
+//! persistent connections (keep-alive is the HTTP/1.1 default,
+//! `Connection: close` opts out; HTTP/1.0 clients must opt in). Chunked
+//! transfer encoding on *requests* is rejected, not ignored: a body the
+//! parser cannot frame would desync every later request on the same
+//! connection, so `Transfer-Encoding` is answered 501 and duplicate
+//! `Content-Length` headers 400. On *responses* the server
 //! does emit `Transfer-Encoding: chunked` — [`ChunkedBody`] frames a body
 //! of unknown length (the level-by-level `/v1/discover` stream) while
 //! keeping the connection reusable: the terminating zero-length chunk
@@ -82,8 +83,17 @@ pub fn is_timeout(e: &io::Error) -> bool {
 /// to [`RequestError::Idle`] / [`RequestError::Closed`]; either one after
 /// the first byte is a hard error, because the stream position is now
 /// unknowable and reuse would desync.
-pub fn read_request<R: BufRead>(
+///
+/// `writer` is the same connection's write half. An HTTP/1.1 head that
+/// carries `Expect: 100-continue` and a non-empty body within the cap is
+/// answered `100 Continue` on it before the body is read (RFC 9110
+/// §10.1.1): clients such as curl hold the body back until that interim
+/// response arrives or their own timer runs out. An over-cap declared
+/// length is refused before any body byte instead, and HTTP/1.0 requests
+/// ignore the expectation, as the RFC requires.
+pub fn read_request<R: BufRead, W: Write>(
     reader: &mut R,
+    writer: &mut W,
     max_body_bytes: usize,
 ) -> Result<Request, RequestError> {
     let mut raw = Vec::new();
@@ -116,6 +126,7 @@ pub fn read_request<R: BufRead>(
     let mut content_type: Option<String> = None;
     let mut conn_close = false;
     let mut conn_keep_alive = false;
+    let mut expect_continue = false;
     let mut head_bytes = line.len();
     loop {
         line.clear();
@@ -166,6 +177,8 @@ pub fn read_request<R: BufRead>(
             if !media.is_empty() {
                 content_type = Some(media);
             }
+        } else if name.eq_ignore_ascii_case("expect") {
+            expect_continue |= value.trim().eq_ignore_ascii_case("100-continue");
         } else if name.eq_ignore_ascii_case("connection") {
             for token in value.split(',') {
                 let token = token.trim();
@@ -178,6 +191,10 @@ pub fn read_request<R: BufRead>(
     let content_length = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(RequestError::TooLarge);
+    }
+    if expect_continue && !http_10 && content_length > 0 {
+        writer.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
+        writer.flush()?;
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -421,7 +438,7 @@ mod tests {
     /// Parses `raw` as the bytes of one connection; `read_request` is
     /// generic over `BufRead`, so no socket is needed.
     fn parse(raw: &[u8], max_body: usize) -> Result<Request, RequestError> {
-        read_request(&mut Cursor::new(raw.to_vec()), max_body)
+        read_request(&mut Cursor::new(raw.to_vec()), &mut io::sink(), max_body)
     }
 
     #[test]
@@ -464,15 +481,18 @@ mod tests {
     fn pipelined_requests_parse_back_to_back() {
         let two = b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nxyzGET /b HTTP/1.1\r\n\r\n";
         let mut reader = Cursor::new(two.to_vec());
-        let first = read_request(&mut reader, 1024).unwrap();
+        let first = read_request(&mut reader, &mut io::sink(), 1024).unwrap();
         assert_eq!(
             (first.path.as_str(), first.body.as_slice()),
             ("/a", &b"xyz"[..])
         );
-        let second = read_request(&mut reader, 1024).unwrap();
+        let second = read_request(&mut reader, &mut io::sink(), 1024).unwrap();
         assert_eq!(second.path, "/b");
         assert!(
-            matches!(read_request(&mut reader, 1024), Err(RequestError::Closed)),
+            matches!(
+                read_request(&mut reader, &mut io::sink(), 1024),
+                Err(RequestError::Closed)
+            ),
             "clean EOF between requests is Closed, not Bad"
         );
     }
@@ -563,14 +583,14 @@ mod tests {
             .unwrap();
         let mut reader = std::io::BufReader::new(accepted);
         assert!(matches!(
-            read_request(&mut reader, 128),
+            read_request(&mut reader, &mut io::sink(), 128),
             Err(RequestError::Idle)
         ));
 
         // The client hangs up without sending anything ⇒ Closed.
         drop(quiet);
         assert!(matches!(
-            read_request(&mut reader, 128),
+            read_request(&mut reader, &mut io::sink(), 128),
             Err(RequestError::Closed)
         ));
     }

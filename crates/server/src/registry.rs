@@ -7,9 +7,9 @@
 //!
 //! Uploads are **mutable**: each one is wrapped in a
 //! [`tane_delta::DatasetEngine`], so `PATCH /v1/datasets/{name}/rows` can
-//! append and delete rows and discovery transparently sees the merged
-//! view (and reuses the engine's partition trackers). Built-ins stay
-//! static — they are the reproducible benchmark corpus.
+//! append and delete rows. Lookups hand out the engine's current snapshot,
+//! and a discovery searches that snapshot like any other relation.
+//! Built-ins stay static — they are the reproducible benchmark corpus.
 
 use std::sync::{Arc, RwLock};
 use tane_delta::{DatasetEngine, EngineLimits};
@@ -37,7 +37,7 @@ enum Stored {
     /// A generated built-in (or a value-less relation inserted directly in
     /// tests): immutable.
     Static(Arc<Relation>),
-    /// An upload with its incremental engine: patchable.
+    /// An upload with its engine: patchable.
     Engine(Arc<DatasetEngine>),
 }
 
@@ -130,7 +130,7 @@ impl DatasetRegistry {
         Some(entry.relation())
     }
 
-    /// The incremental engine behind `name`, if it is a patchable upload.
+    /// The engine behind `name`, if it is a patchable upload.
     pub fn engine(&self, name: &str) -> Option<Arc<DatasetEngine>> {
         match self
             .inner
@@ -175,7 +175,7 @@ impl DatasetRegistry {
     }
 
     /// Registers (or replaces — a fresh generation lineage) an uploaded
-    /// relation, wrapping it in an incremental engine when it carries value
+    /// relation, wrapping it in an engine when it carries value
     /// dictionaries (every CSV upload does; raw-code relations fall back
     /// to a static, unpatchable entry).
     pub fn insert(&self, name: &str, relation: Relation) -> Arc<Relation> {

@@ -25,9 +25,9 @@
 //!
 //! Every endpoint lives under `/v1/...`; the original unversioned paths
 //! remain byte-for-byte compatible aliases that additionally carry
-//! `Deprecation: true` and `Sunset` headers ([`LEGACY_SUNSET`]; removal
+//! `Deprecation: true` and `Sunset` headers (`LEGACY_SUNSET`; removal
 //! policy in README). Routing normalizes the path once
-//! ([`split_version`]) and dispatches both trees through one table; only
+//! (`split_version`) and dispatches both trees through one table; only
 //! error *shapes* differ — `/v1` answers errors with the
 //! `{"error":{"code","message"}}` envelope, legacy paths keep the flat
 //! `{"error": "..."}` body existing clients parse. Failures that happen
@@ -43,7 +43,7 @@
 //! the level lines they improved on; the level lines themselves stay
 //! untagged and byte-identical to the exact/approximate stream (grammar in
 //! README). The worker publishes
-//! levels through a **bounded** channel ([`STREAM_EVENT_DEPTH`]) — a slow
+//! levels through a **bounded** channel (`STREAM_EVENT_DEPTH`) — a slow
 //! client stalls the search rather than buffering it, and a vanished
 //! client fails the send, which simply stops the feed while the search
 //! runs on to land in the cache. Cache hits and single-flight followers
@@ -65,7 +65,7 @@ use tane_core::{
     discover_approx_fds_with, discover_fds_with, discover_topk_fds_with, ApproxTaneConfig,
     LevelEvent, RankedFd, Storage, TaneConfig, TaneResult, TopKConfig, TopKEvent,
 };
-use tane_delta::{DatasetEngine, PatchError};
+use tane_delta::PatchError;
 use tane_relation::csv::{read_csv_from, CsvOptions};
 use tane_relation::{Relation, RowPatch, Value};
 use tane_util::Json;
@@ -162,6 +162,9 @@ impl Default for ServerConfig {
 /// run the search and publish the result.
 struct Job {
     key: CacheKey,
+    /// The snapshot the request resolved. The search runs on it even if a
+    /// patch lands while the job is queued, so the result stays coherent
+    /// with the generation its cache key names.
     relation: Arc<Relation>,
     mode: DiscoverMode,
     max_lhs: Option<usize>,
@@ -175,12 +178,6 @@ struct Job {
     /// receivers turn sends into no-ops rather than errors that stop the
     /// search.
     events: Option<SyncSender<String>>,
-    /// The dataset's incremental engine, for patchable uploads. The worker
-    /// runs the merge-and-reverify path when `relation` is still the
-    /// engine's current generation (checked under the engine lock); after
-    /// a mid-queue patch it falls back to a plain search on the snapshot,
-    /// so the result stays coherent with the generation the request saw.
-    engine: Option<Arc<DatasetEngine>>,
 }
 
 /// State shared by every thread of one server.
@@ -394,19 +391,9 @@ fn run_job(shared: &Shared, job: Job) -> JobResult {
                 base,
                 ..ApproxTaneConfig::new(epsilon)
             };
-            job.engine
-                .as_ref()
-                .and_then(|e| e.discover_approx_for(&job.relation, &config, &mut on_level))
-                .unwrap_or_else(|| discover_approx_fds_with(&job.relation, &config, &mut on_level))
+            discover_approx_fds_with(&job.relation, &config, &mut on_level)
         }
-        DiscoverMode::Exact => job
-            .engine
-            .as_ref()
-            .and_then(|e| e.discover_exact_for(&job.relation, &base, &mut on_level))
-            .unwrap_or_else(|| discover_fds_with(&job.relation, &base, &mut on_level)),
-        // Ranked search runs on the request's snapshot directly — the
-        // incremental engine has no ranked re-verify path, and the result
-        // is cached under the snapshot's content hash either way.
+        DiscoverMode::Exact => discover_fds_with(&job.relation, &base, &mut on_level),
         DiscoverMode::TopK(k) => {
             let config = TopKConfig { base, k };
             discover_topk_fds_with(&job.relation, &config, &mut on_level, |ev: TopKEvent| {
@@ -553,7 +540,8 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     let mut served: u64 = 0;
     loop {
         let received = Instant::now();
-        let (action, keep_alive) = match read_request(&mut reader, shared.config.max_body_bytes) {
+        let read = read_request(&mut reader, &mut stream, shared.config.max_body_bytes);
+        let (action, keep_alive) = match read {
             Ok(request) => {
                 shared
                     .metrics
@@ -947,8 +935,8 @@ fn upload_dataset(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, 
 }
 
 /// `PATCH /v1/datasets/{name}/rows`: apply a row delta to an uploaded
-/// dataset's incremental engine, then evict the stale generation's cached
-/// results so later discoveries re-verify against the merged view.
+/// dataset's engine, then evict the stale generation's cached results so
+/// later discoveries search the new snapshot.
 fn patch_rows(shared: &Shared, name: &str, body: &[u8]) -> Result<Response, ApiError> {
     if DatasetRegistry::is_builtin(name) {
         return Err(ApiError::new(
@@ -1316,7 +1304,6 @@ fn discover(shared: &Shared, request: &Request, versioned: bool) -> Result<Actio
             };
             let job = Job {
                 key,
-                engine: shared.registry.engine(&spec.dataset),
                 relation,
                 mode: spec.mode,
                 max_lhs: spec.max_lhs,

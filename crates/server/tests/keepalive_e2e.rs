@@ -440,3 +440,91 @@ fn shutdown_closes_persistent_connections_after_the_inflight_request() {
     assert!(conn.at_eof());
     server.wait();
 }
+
+/// Sends `head` alone on a connection whose reads give up after 2 s, so a
+/// server that never answers the expectation fails the test instead of
+/// stalling it.
+fn open_and_send_head(addr: SocketAddr, head: &str) -> Conn {
+    let mut conn = Conn::open(addr);
+    conn.stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    conn.stream.write_all(head.as_bytes()).unwrap();
+    conn
+}
+
+/// `Expect: 100-continue` (RFC 9110 §10.1.1): the interim response
+/// arrives before the client sends a byte of the body, the final answer
+/// follows the body, and the connection stays usable.
+#[test]
+fn expect_continue_is_answered_before_the_body_is_sent() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let head = format!(
+        "POST /v1/datasets/tiny HTTP/1.1\r\nhost: localhost\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+        CSV.len()
+    );
+    let mut conn = open_and_send_head(server.local_addr(), &head);
+    let mut interim = String::new();
+    conn.reader
+        .read_line(&mut interim)
+        .expect("100 Continue before the body");
+    assert_eq!(interim, "HTTP/1.1 100 Continue\r\n");
+    let mut blank = String::new();
+    conn.reader.read_line(&mut blank).unwrap();
+    assert_eq!(blank, "\r\n", "the interim response has no headers");
+
+    conn.stream.write_all(CSV).unwrap();
+    let up = conn.recv();
+    assert_eq!(up.status, 200, "{:?}", up.body);
+    assert_eq!(up.connection, "keep-alive");
+
+    conn.send("POST", "/v1/discover", br#"{"dataset":"tiny"}"#, true);
+    let found = conn.recv();
+    assert_eq!(found.status, 200, "{:?}", found.body);
+    assert!(found.body.get("fds").is_some(), "{:?}", found.body);
+
+    server.shutdown();
+    server.wait();
+}
+
+/// A declared length over the cap is refused with 413 before any body
+/// byte is sent, and the connection closes.
+#[test]
+fn expect_continue_over_the_cap_gets_413_without_the_body() {
+    let config = ServerConfig {
+        max_body_bytes: 64,
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).unwrap();
+    let mut conn = open_and_send_head(
+        server.local_addr(),
+        "POST /v1/datasets/big HTTP/1.1\r\nhost: localhost\r\nexpect: 100-continue\r\ncontent-length: 4096\r\n\r\n",
+    );
+    let reply = conn.recv();
+    assert_eq!(reply.status, 413, "{:?}", reply.body);
+    assert_eq!(reply.connection, "close");
+    assert!(conn.at_eof());
+
+    server.shutdown();
+    server.wait();
+}
+
+/// HTTP/1.0 has no interim responses: the expectation is ignored and the
+/// first bytes back are the final response.
+#[test]
+fn expect_continue_is_ignored_on_http_10() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let head = format!(
+        "POST /v1/datasets/tiny HTTP/1.0\r\nexpect: 100-continue\r\ncontent-length: {}\r\n\r\n",
+        CSV.len()
+    );
+    let mut conn = open_and_send_head(server.local_addr(), &head);
+    conn.stream.write_all(CSV).unwrap();
+    let mut raw = String::new();
+    conn.reader.read_to_string(&mut raw).unwrap();
+    assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
+    assert!(!raw.contains("100 Continue"), "{raw}");
+
+    server.shutdown();
+    server.wait();
+}

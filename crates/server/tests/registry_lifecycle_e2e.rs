@@ -132,16 +132,23 @@ fn patch_evicts_stale_results_and_metrics_count_it() {
         fds_of(&fresh),
         "the appended row changes the dependencies"
     );
-    let stats = fresh.get("stats").expect("stats block");
-    assert!(
-        stats
-            .get("partitions_supplied")
-            .unwrap()
-            .as_usize()
-            .unwrap()
-            > 0,
-        "the incremental engine supplied merged partitions: {stats:?}"
+    // The patched upload answers like a fresh upload of the same rows.
+    let (status, _) = call(
+        addr,
+        "POST",
+        "/v1/datasets/mut-fresh",
+        b"A,B,C\n1,x,10\n2,x,10\n3,y,20\n4,y,20\n5,x,99\n",
     );
+    assert_eq!(status, 200);
+    for mode in ["", r#","epsilon":0.25"#, r#","top_k":4"#] {
+        let answer = |dataset: &str| {
+            let body = format!(r#"{{"dataset":"{dataset}"{mode}}}"#);
+            let (status, reply) = call(addr, "POST", "/v1/discover", body.as_bytes());
+            assert_eq!(status, 200, "{reply:?}");
+            (fds_of(&reply), reply.get("keys").cloned())
+        };
+        assert_eq!(answer("mut"), answer("mut-fresh"), "mode {mode:?}");
+    }
 
     // And the new generation caches normally.
     let (_, again) = call(addr, "POST", "/v1/discover", br#"{"dataset":"mut"}"#);

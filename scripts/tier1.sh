@@ -25,6 +25,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # by the in-tree analyzer — including the derived lock-order graph and
 # the interprocedural determinism taint.
 cargo run -q -p tane-lint --release
+# Rustdoc with warnings denied: a doc link to a deleted or private item
+# fails here instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 # The benchmark harness is its own Cargo package, so the root build never
 # compiles it; type-check it here so a rename of any workspace item it
 # uses fails tier-1 instead of the benchmark run. `--locked` keeps the

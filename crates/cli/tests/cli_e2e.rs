@@ -326,6 +326,74 @@ fn serve_answers_discover_and_shuts_down() {
     panic!("server did not exit within 10s of /shutdown");
 }
 
+/// Starts `tane serve`, answers one request, then sends `signal` with
+/// `kill(1)` (`Child::kill` would send SIGKILL): the server must drain and
+/// exit 0 within 5 s. The signal handler only sets a flag, so this pins
+/// that the flag reaches an accept loop blocked in `accept`.
+#[cfg(unix)]
+fn serve_drains_on(signal: &str) {
+    let mut child = tane()
+        .args(["serve", "--port", "0", "--workers", "2"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut line = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut line)
+        .unwrap();
+    let addr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner: {line:?}"))
+        .to_string();
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    stream
+        .write_all(b"GET /v1/health HTTP/1.1\r\nconnection: close\r\n\r\n")
+        .unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+
+    let sent = Command::new("kill")
+        .args(["-s", signal, &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(sent.success(), "kill -s {signal} failed");
+    for _ in 0..50 {
+        if let Some(status) = child.try_wait().unwrap() {
+            let mut stderr = String::new();
+            child
+                .stderr
+                .take()
+                .unwrap()
+                .read_to_string(&mut stderr)
+                .unwrap();
+            assert!(status.success(), "SIG{signal}: {status}; {stderr}");
+            assert!(stderr.contains("# server stopped"), "{stderr}");
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    child.kill().ok();
+    panic!("server did not exit within 5s of SIG{signal}");
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_drains_on_sigterm() {
+    serve_drains_on("TERM");
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_drains_on_sigint() {
+    serve_drains_on("INT");
+}
+
 #[test]
 fn serve_rejects_bad_flags() {
     let out = tane().args(["serve", "--workers", "0"]).output().unwrap();

@@ -20,6 +20,9 @@
 //! `POST /shutdown`) stops the accept loop, answers each persistent
 //! connection's in-flight request with `connection: close`, lets workers
 //! finish the jobs they hold, and fails the undrained backlog with 503.
+//! The accept loop blocks in `accept`; shutdown wakes it with one loopback
+//! connect, which it drops unserved, and `Server::wait` repeats that
+//! wake-up while a signal's flag is set but the loop still accepts.
 //!
 //! ## API versions
 //!
@@ -50,9 +53,9 @@
 //! replay the recorded level lines, byte-identical to the live stream.
 
 use std::io::{self, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,8 +73,11 @@ use tane_relation::csv::{read_csv_from, CsvOptions};
 use tane_relation::{Relation, RowPatch, Value};
 use tane_util::Json;
 
-/// Set by the SIGTERM/SIGINT handler; polled by every accept loop.
+/// Set by the SIGTERM/SIGINT handler; watched by [`Server::wait`].
 static SIGNAL_SHUTDOWN: AtomicBool = AtomicBool::new(false);
+
+/// [`Server::wait`]'s shutdown check interval, and a wake-up's connect limit.
+const WAKE_TICK: Duration = Duration::from_millis(50);
 
 /// Capacity of the worker→handler level-event channel of one streaming
 /// request. Small on purpose: the channel is a hand-off, not a buffer — a
@@ -188,11 +194,20 @@ struct Shared {
     queue: JobQueue<Job>,
     metrics: Metrics,
     shutdown: AtomicBool,
+    /// The listener's address, with an unspecified IP made loopback.
+    wake_addr: SocketAddr,
 }
 
 impl Shared {
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
+    }
+
+    /// Starts a graceful shutdown (idempotent): sets the flag, then wakes the
+    /// accept loop out of `accept`. [`Server::wait`] retries a failed wake.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TICK);
     }
 
     /// Claims a connection slot, or reports the cap reached. The gauge in
@@ -227,9 +242,11 @@ impl Shared {
 /// A running server; dropping it does NOT stop it — call [`Server::shutdown`]
 /// then [`Server::wait`], or let a signal / `POST /shutdown` end it.
 pub struct Server {
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     shared: Arc<Shared>,
     accept_thread: std::thread::JoinHandle<()>,
+    /// Disconnects when the accept loop ends (it holds the only sender).
+    accepting: Receiver<()>,
 }
 
 impl Server {
@@ -237,14 +254,19 @@ impl Server {
     /// worker pool.
     pub fn start(addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let wake_addr = match local_addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+            bound => bound,
+        };
         let shared = Arc::new(Shared {
             registry: DatasetRegistry::with_disk_quota(config.disk_quota_bytes),
             cache: ResultCache::new(config.cache_capacity),
             queue: JobQueue::new(config.queue_capacity),
             metrics: Metrics::new(config.workers),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             config,
         });
 
@@ -258,33 +280,42 @@ impl Server {
             );
         }
 
+        let (running, accepting) = channel();
         let accept_thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("tane-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, workers))?
+                .spawn(move || accept_loop(&listener, &shared, workers, running))?
         };
 
         Ok(Server {
             local_addr,
             shared,
             accept_thread,
+            accepting,
         })
     }
 
     /// The bound address (resolves `:0` ports).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
-    /// Requests a graceful shutdown (idempotent).
+    /// Requests a graceful shutdown (idempotent) and wakes the accept loop.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop();
     }
 
     /// Blocks until the server has fully stopped: accept loop ended,
     /// workers drained and joined.
+    /// A signal only sets a flag and std retries `accept` on `EINTR`, so
+    /// every 50 ms while shutting down this repeats the accept loop's wake-up.
     pub fn wait(self) {
+        while let Err(RecvTimeoutError::Timeout) = self.accepting.recv_timeout(WAKE_TICK) {
+            if self.shared.shutting_down() {
+                self.shared.stop();
+            }
+        }
         let _ = self.accept_thread.join();
     }
 }
@@ -293,9 +324,12 @@ fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    running: Sender<()>,
 ) {
     while !shared.shutting_down() {
         match listener.accept() {
+            // The wake-up connect, or a client that raced it: unserved.
+            Ok(_) if shared.shutting_down() => break,
             Ok((stream, _peer)) => {
                 if !shared.try_admit_connection() {
                     shed_connection(shared, stream);
@@ -318,12 +352,12 @@ fn accept_loop(
                     shared.release_connection();
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // EMFILE and kin return at once even when blocking: back off.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
+    // No more wake-ups: `Server::wait` goes on to join this thread.
+    drop(running);
     // Drain: fail the backlog so its waiters unblock, let workers finish
     // the jobs they already hold, then join them.
     for job in shared.queue.close() {
@@ -530,6 +564,10 @@ fn shed_connection(shared: &Arc<Shared>, mut stream: TcpStream) {
 /// when the server starts shutting down (drain: the in-flight request is
 /// still answered, with `connection: close`).
 fn handle_connection(shared: &Shared, mut stream: TcpStream) {
+    // A response leaves in several writes (head, body, a chunk per level);
+    // under Nagle each write after the first waits for the peer's ACK, which
+    // a delayed-ACK client holds ≈40 ms.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.idle_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.read_timeout));
     let read_half = match stream.try_clone() {
@@ -784,7 +822,7 @@ fn dispatch(
             remove_dataset(shared, &p["/datasets/".len()..]).map(Action::Respond)
         }
         ("POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            shared.stop();
             respond(Response::json(
                 200,
                 &Json::obj([("status", Json::Str("shutting down".into()))]),

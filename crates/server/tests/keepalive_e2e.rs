@@ -1,11 +1,11 @@
 //! End-to-end tests for the persistent-connection path: keep-alive reuse,
 //! pipelining, trickled bytes, `Connection: close`, idle timeout, the
-//! connection cap, and framing-error hygiene — all over real loopback
-//! sockets.
+//! connection cap, framing-error hygiene, and the absence of fixed
+//! per-response or per-connection delays — all over real loopback sockets.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tane_server::{Server, ServerConfig};
 use tane_util::Json;
@@ -47,6 +47,47 @@ impl Conn {
         );
         self.stream.write_all(head.as_bytes()).unwrap();
         self.stream.write_all(body).unwrap();
+    }
+
+    /// Writes one request, head and body together, in a single `write`.
+    /// [`Conn::send`] writes them separately, so the client's own Nagle
+    /// would hold a body back until the server acknowledges the head.
+    fn send_in_one_write(&mut self, method: &str, path: &str, body: &[u8]) {
+        let mut request = format!(
+            "{method} {path} HTTP/1.1\r\nhost: localhost\r\ncontent-length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        request.extend_from_slice(body);
+        self.stream.write_all(&request).unwrap();
+    }
+
+    /// Reads one chunked `200` response through its terminating zero-length
+    /// chunk and returns the joined chunk payloads.
+    fn recv_chunked(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("status line");
+        assert!(line.starts_with("HTTP/1.1 200 "), "{line:?}");
+        let mut chunked = false;
+        while line != "\r\n" {
+            line.clear();
+            self.reader.read_line(&mut line).expect("header line");
+            chunked |= line.eq_ignore_ascii_case("transfer-encoding: chunked\r\n");
+        }
+        assert!(chunked, "streams are chunked");
+        let mut payload = Vec::new();
+        loop {
+            line.clear();
+            self.reader.read_line(&mut line).expect("chunk size line");
+            let size = usize::from_str_radix(line.trim(), 16).expect("chunk size");
+            let mut chunk = vec![0u8; size + 2];
+            self.reader.read_exact(&mut chunk).expect("chunk and CRLF");
+            assert!(chunk.ends_with(b"\r\n"));
+            if size == 0 {
+                return String::from_utf8(payload).expect("UTF-8 stream");
+            }
+            payload.extend_from_slice(&chunk[..size]);
+        }
     }
 
     /// Reads exactly one framed response off the connection.
@@ -524,6 +565,93 @@ fn expect_continue_is_ignored_on_http_10() {
     conn.reader.read_to_string(&mut raw).unwrap();
     assert!(raw.starts_with("HTTP/1.1 200 "), "{raw}");
     assert!(!raw.contains("100 Continue"), "{raw}");
+
+    server.shutdown();
+    server.wait();
+}
+
+/// Round trips per timed request shape; the median of an odd count is one
+/// of the samples.
+const ROUNDS: usize = 21;
+
+/// A fixed delay (a delayed ACK, a polling sleep) costs tens of
+/// milliseconds; the work of these requests costs well under one.
+const LATENCY_CEILING: Duration = Duration::from_millis(5);
+
+/// Times `ROUNDS` sequential runs of `round_trip` and returns the median.
+fn median_of(mut round_trip: impl FnMut()) -> Duration {
+    let mut samples: Vec<Duration> = (0..ROUNDS)
+        .map(|_| {
+            let start = Instant::now();
+            round_trip();
+            start.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[ROUNDS / 2]
+}
+
+/// Every response leaves in more than one write (head then body, or one
+/// chunk per level). Under Nagle each write after the first waits for the
+/// client's ACK of the previous one, and a delayed-ACK client holds that
+/// back ≈40 ms, so a keep-alive response would cost ≈40 ms on top of its
+/// work. A plain hit, a cached discovery and a replayed stream must each
+/// come back without that wait.
+#[test]
+fn responses_are_not_held_for_the_peers_ack() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let mut conn = Conn::open(server.local_addr());
+    conn.send_in_one_write("POST", "/v1/datasets/tiny", CSV);
+    assert_eq!(conn.recv().status, 200);
+    let query = br#"{"dataset":"tiny"}"#;
+    let streamed = br#"{"dataset":"tiny","stream":true}"#;
+    // The first discovery computes; every timed one below is a cache hit.
+    conn.send_in_one_write("POST", "/v1/discover", query);
+    let cold = conn.recv();
+    assert_eq!(cold.status, 200, "{:?}", cold.body);
+    conn.send_in_one_write("POST", "/v1/discover", streamed);
+    let stream = conn.recv_chunked();
+    assert!(stream.contains(r#"{"summary":"#), "{stream}");
+
+    let health = median_of(|| {
+        conn.send_in_one_write("GET", "/v1/health", b"");
+        assert_eq!(conn.recv().status, 200);
+    });
+    let cached = median_of(|| {
+        conn.send_in_one_write("POST", "/v1/discover", query);
+        let reply = conn.recv();
+        assert_eq!(reply.body.get("cached").unwrap().as_bool(), Some(true));
+    });
+    let replayed = median_of(|| {
+        conn.send_in_one_write("POST", "/v1/discover", streamed);
+        assert_eq!(conn.recv_chunked(), stream, "replays repeat the stream");
+    });
+    assert!(
+        [health, cached, replayed]
+            .iter()
+            .all(|median| *median < LATENCY_CEILING),
+        "median keep-alive round trips: health {health:?}, cached {cached:?}, replay {replayed:?}"
+    );
+
+    server.shutdown();
+    server.wait();
+}
+
+/// The accept loop blocks in `accept` instead of polling with a sleep, so
+/// a new connection is served as soon as it arrives.
+#[test]
+fn fresh_connections_are_accepted_without_a_poll() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let median = median_of(|| {
+        let mut conn = Conn::open(addr);
+        conn.send_in_one_write("GET", "/v1/health", b"");
+        assert_eq!(conn.recv().status, 200);
+    });
+    assert!(
+        median < LATENCY_CEILING,
+        "median fresh-connection round trip {median:?}"
+    );
 
     server.shutdown();
     server.wait();

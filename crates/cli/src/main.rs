@@ -31,20 +31,26 @@ fn main() -> ExitCode {
     }
 }
 
+/// A command's entry point, given its parsed command line.
+type Command = fn(&Opts) -> Result<(), String>;
+
 fn run(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("discover") => discover(&args[1..]),
-        Some("patch") => patch(&args[1..]),
-        Some("dataset") => dataset(&args[1..]),
-        Some("profile") => profile(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("lint") => lint(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command `{other}` (try `tane help`)")),
+    let command = args.first().map_or("help", String::as_str);
+    // `--help` or `-h` anywhere, even after a command, prints the usage.
+    if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{USAGE}");
+        return Ok(());
     }
+    let (spec, run_command): (&Spec, Command) = match command {
+        "discover" => (&DISCOVER, discover),
+        "patch" => (&PATCH, patch),
+        "dataset" => (&DATASET, dataset),
+        "profile" => (&PROFILE, profile),
+        "serve" => (&SERVE, serve),
+        "lint" => (&LINT, lint),
+        other => return Err(format!("unknown command `{other}` (try `tane help`)")),
+    };
+    run_command(&parse_opts(&args[1..], spec)?)
 }
 
 const USAGE: &str = "\
@@ -57,7 +63,10 @@ USAGE:
     tane profile <FILE.csv> [OPTIONS]     print a per-column profile
     tane serve [OPTIONS]                  run the HTTP discovery service
     tane lint [OPTIONS] [PATHS...]        run the workspace static analyzer
-    tane help                             show this help
+    tane help                             show this help (so does --help
+                                          or -h after any command)
+
+Unknown flags and surplus arguments are errors.
 
 DISCOVER OPTIONS:
     --epsilon <E>        g3 error threshold in [0,1]; 0 = exact FDs (default)
@@ -92,6 +101,9 @@ PATCH OPTIONS:
     merged rows: the output equals `tane discover` on a CSV of the
     surviving and appended rows. Prints the post-patch dependencies.
 
+PROFILE OPTIONS:
+    --no-header / --delimiter / --nulls   as for discover
+
 DATASET OPTIONS (NAME: lymphography | hepatitis | wbc | adult | chess):
     --copies <N>         concatenate N disjoint copies (the paper's ×n datasets)
     -o, --output <FILE>  write CSV here (default: stdout)
@@ -123,35 +135,122 @@ LINT:
     lock nesting with `// lint:lock-order(outer -> inner): <reason>`.
 ";
 
+/// One command's command line: the flags that take a value, the bare
+/// flags, and how many positional arguments it takes.
+struct Spec {
+    name: &'static str,
+    values: &'static [&'static str],
+    bare: &'static [&'static str],
+    positionals: usize,
+}
+
+const DISCOVER: Spec = Spec {
+    name: "discover",
+    values: &[
+        "epsilon",
+        "top-k",
+        "max-lhs",
+        "algorithm",
+        "disk",
+        "delimiter",
+        "nulls",
+        "threads",
+    ],
+    bare: &["stream", "stats", "no-header"],
+    positionals: 1,
+};
+const PATCH: Spec = Spec {
+    name: "patch",
+    values: &[
+        "append",
+        "delete",
+        "epsilon",
+        "threads",
+        "delimiter",
+        "nulls",
+    ],
+    bare: &["stats", "no-header"],
+    positionals: 1,
+};
+const DATASET: Spec = Spec {
+    name: "dataset",
+    values: &["copies", "output", "o"],
+    bare: &[],
+    positionals: 1,
+};
+const PROFILE: Spec = Spec {
+    name: "profile",
+    values: &["delimiter", "nulls"],
+    bare: &["no-header"],
+    positionals: 1,
+};
+const SERVE: Spec = Spec {
+    name: "serve",
+    values: &[
+        "port",
+        "workers",
+        "queue",
+        "cache",
+        "timeout",
+        "max-conns",
+        "conn-requests",
+        "idle-timeout",
+        "disk-quota-mb",
+    ],
+    bare: &[],
+    positionals: 0,
+};
+const LINT: Spec = Spec {
+    name: "lint",
+    values: &["baseline", "write-baseline", "symbols"],
+    bare: &["json"],
+    positionals: usize::MAX,
+};
+
 struct Opts {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
-/// Minimal flag parser: `--name value` for known value-flags, bare `--name`
-/// otherwise.
-fn parse_opts(args: &[String], value_flags: &[&str]) -> Result<Opts, String> {
+/// Minimal flag parser: `--name value` for the command's value flags, bare
+/// `--name` for its bare flags. Any other flag, or a positional past the
+/// command's count, is an error that names it.
+fn parse_opts(args: &[String], spec: &Spec) -> Result<Opts, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
         if let Some(name) = a.strip_prefix("--").or_else(|| a.strip_prefix('-')) {
-            if value_flags.contains(&name) {
+            if spec.values.contains(&name) {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("flag --{name} needs a value"))?
                     .clone();
                 flags.push((name.to_string(), Some(value)));
-                i += 2;
-            } else {
-                flags.push((name.to_string(), None));
                 i += 1;
+            } else if spec.bare.contains(&name) {
+                flags.push((name.to_string(), None));
+            } else {
+                return Err(format!(
+                    "unknown flag `{a}` for {} (try `tane help`)",
+                    spec.name
+                ));
             }
-        } else {
+        } else if positional.len() < spec.positionals {
             positional.push(a.clone());
-            i += 1;
+        } else if spec.positionals == 0 {
+            return Err(format!(
+                "{} takes no positional arguments, got `{a}`",
+                spec.name
+            ));
+        } else {
+            return Err(format!(
+                "unexpected argument `{a}` ({} takes one positional argument)",
+                spec.name
+            ));
         }
+        i += 1;
     }
     Ok(Opts { positional, flags })
 }
@@ -210,22 +309,9 @@ fn print_stats(stats: &TaneStats, ranked: bool) {
     }
 }
 
-fn discover(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(
-        args,
-        &[
-            "epsilon",
-            "top-k",
-            "max-lhs",
-            "algorithm",
-            "disk",
-            "delimiter",
-            "nulls",
-            "threads",
-        ],
-    )?;
+fn discover(opts: &Opts) -> Result<(), String> {
     let path = opts.positional.first().ok_or("discover needs a CSV file")?;
-    let relation = load(path, &opts)?;
+    let relation = load(path, opts)?;
 
     let epsilon: f64 = match opts.value("epsilon") {
         Some(e) => e.parse().map_err(|_| format!("bad epsilon `{e}`"))?,
@@ -389,24 +475,13 @@ fn discover(args: &[String]) -> Result<(), String> {
 /// `tane patch` — the service's PATCH path, end to end and offline: apply
 /// the row delta to the base file's rows, discover on the merged snapshot,
 /// print the post-patch dependencies.
-fn patch(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(
-        args,
-        &[
-            "append",
-            "delete",
-            "epsilon",
-            "threads",
-            "delimiter",
-            "nulls",
-        ],
-    )?;
+fn patch(opts: &Opts) -> Result<(), String> {
     let path = opts
         .positional
         .first()
         .ok_or("patch needs a base CSV file")?;
-    let base = load(path, &opts)?;
-    let nulls = csv_options(&opts)?.nulls;
+    let base = load(path, opts)?;
+    let nulls = csv_options(opts)?.nulls;
 
     let epsilon: f64 = match opts.value("epsilon") {
         Some(e) => e.parse().map_err(|_| format!("bad epsilon `{e}`"))?,
@@ -434,7 +509,7 @@ fn patch(args: &[String]) -> Result<(), String> {
         }
     }
     if let Some(file) = opts.value("append") {
-        let rows = load(file, &opts)?;
+        let rows = load(file, opts)?;
         if rows.num_attrs() != base.num_attrs() {
             return Err(format!(
                 "{file} has {} attributes, base has {}",
@@ -498,8 +573,7 @@ fn patch(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn dataset(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &["copies", "output", "o", "delimiter"])?;
+fn dataset(opts: &Opts) -> Result<(), String> {
     let name = opts.positional.first().ok_or_else(|| {
         format!(
             "dataset needs a name (one of: {})",
@@ -545,31 +619,11 @@ fn dataset(args: &[String]) -> Result<(), String> {
 
 /// `tane lint [--json] [--baseline FILE | --write-baseline FILE]
 /// [--symbols FILE] [PATHS...]` — the workspace static analyzer.
-fn lint(args: &[String]) -> Result<(), String> {
-    let mut json = false;
-    let mut baseline: Option<String> = None;
-    let mut write_baseline: Option<String> = None;
-    let mut symbols: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => json = true,
-            "--baseline" | "--write-baseline" | "--symbols" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| format!("`{a}` needs a file argument"))?
-                    .clone();
-                match a.as_str() {
-                    "--baseline" => baseline = Some(v),
-                    "--write-baseline" => write_baseline = Some(v),
-                    _ => symbols = Some(v),
-                }
-            }
-            _ if a.starts_with('-') => return Err(format!("unknown lint flag `{a}`")),
-            _ => paths.push(a.clone()),
-        }
-    }
+fn lint(opts: &Opts) -> Result<(), String> {
+    let json = opts.flag("json");
+    let baseline = opts.value("baseline");
+    let write_baseline = opts.value("write-baseline");
+    let paths = &opts.positional;
     if baseline.is_some() && write_baseline.is_some() {
         return Err("`--baseline` and `--write-baseline` are mutually exclusive".to_string());
     }
@@ -579,16 +633,16 @@ fn lint(args: &[String]) -> Result<(), String> {
     let analysis = if paths.is_empty() {
         tane_lint::analyze_workspace(&root)
     } else {
-        tane_lint::analyze_explicit(&root, &paths)
+        tane_lint::analyze_explicit(&root, paths)
     }
     .map_err(|e| format!("lint walk: {e}"))?;
     let report = &analysis.report;
-    if let Some(p) = symbols {
-        std::fs::write(&p, analysis.graph.render_json())
+    if let Some(p) = opts.value("symbols") {
+        std::fs::write(p, analysis.graph.render_json())
             .map_err(|e| format!("cannot write symbol graph to {p}: {e}"))?;
     }
     if let Some(p) = write_baseline {
-        std::fs::write(&p, tane_lint::baseline::render(report))
+        std::fs::write(p, tane_lint::baseline::render(report))
             .map_err(|e| format!("cannot write baseline to {p}: {e}"))?;
         eprintln!("baselined {} violation(s) to {p}", report.diagnostics.len());
         return Ok(());
@@ -598,7 +652,7 @@ fn lint(args: &[String]) -> Result<(), String> {
         // (exit 2), never an empty set — silently treating it as empty
         // would pass every baselined violation as "new" or, worse, the
         // reverse. Matches the standalone `tane-lint` binary.
-        let parsed = std::fs::read_to_string(&p)
+        let parsed = std::fs::read_to_string(p)
             .map_err(|e| format!("cannot read baseline {p}: {e}"))
             .and_then(|text| tane_lint::baseline::parse(&text));
         let set = match parsed {
@@ -636,27 +690,8 @@ fn lint(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
+fn serve(opts: &Opts) -> Result<(), String> {
     use std::io::Write;
-    let opts = parse_opts(
-        args,
-        &[
-            "port",
-            "workers",
-            "queue",
-            "cache",
-            "timeout",
-            "max-conns",
-            "conn-requests",
-            "idle-timeout",
-            "disk-quota-mb",
-        ],
-    )?;
-    if let Some(extra) = opts.positional.first() {
-        return Err(format!(
-            "serve takes no positional arguments, got `{extra}`"
-        ));
-    }
     let port: u16 = match opts.value("port") {
         Some(p) => p.parse().map_err(|_| format!("bad port `{p}`"))?,
         None => 7171,
@@ -723,10 +758,9 @@ fn serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn profile(args: &[String]) -> Result<(), String> {
-    let opts = parse_opts(args, &["delimiter", "nulls"])?;
+fn profile(opts: &Opts) -> Result<(), String> {
     let path = opts.positional.first().ok_or("profile needs a CSV file")?;
-    let relation = load(path, &opts)?;
+    let relation = load(path, opts)?;
     println!("rows: {}", relation.num_rows());
     println!("attributes: {}", relation.num_attrs());
     for a in 0..relation.num_attrs() {

@@ -431,3 +431,104 @@ fn help_is_printed() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("USAGE"));
 }
+
+/// Runs `tane` with `args` to completion: (success, stdout, stderr).
+fn run_tane(args: &[&str]) -> (bool, String, String) {
+    let out = tane().args(args).output().unwrap();
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unknown_flags_are_refused_by_name() {
+    let path = write_fixture("unknown-flag.csv", FIGURE1);
+    let csv = path.to_str().unwrap();
+    // A misspelt flag must fail, not fall back to the default (for
+    // `--epsilonn`, the exact cover).
+    for args in [
+        &["discover", csv, "--epsilonn", "0.5"][..],
+        &["discover", csv, "--bogus"],
+        &["dataset", "wbc", "--copiess", "2"],
+        &["profile", csv, "--stats"],
+        &["patch", csv, "--delete", "1", "--stream"],
+        &["serve", "--port", "0", "--worker", "2"],
+        &["lint", "--jsn"],
+    ] {
+        let flag = args.iter().rev().find(|a| a.starts_with('-')).unwrap();
+        let (ok, stdout, stderr) = run_tane(args);
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn surplus_positionals_are_refused_by_name() {
+    let path = write_fixture("surplus.csv", FIGURE1);
+    let csv = path.to_str().unwrap();
+    for args in [
+        &["discover", csv, "extra.csv"][..],
+        &["discover", csv, "--epsilon", "0.1", "0.2"],
+        &["patch", csv, "--delete", "1", "more.csv"],
+        &["dataset", "wbc", "2"],
+        &["profile", csv, csv],
+        &["serve", "--port", "0", "stray"],
+    ] {
+        let extra = args.last().unwrap();
+        let (ok, stdout, stderr) = run_tane(args);
+        assert!(!ok, "{args:?} succeeded: {stdout}");
+        assert!(stderr.contains(&format!("`{extra}`")), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(path).unwrap();
+}
+
+#[test]
+fn help_after_any_command_prints_the_usage() {
+    for command in ["discover", "patch", "dataset", "profile", "lint"] {
+        for help in ["--help", "-h"] {
+            let (ok, stdout, stderr) = run_tane(&[command, help]);
+            assert!(ok, "{command} {help}: {stderr}");
+            assert!(stdout.contains("USAGE"), "{command} {help}: {stdout}");
+        }
+    }
+    // Even after other arguments, and before any file is read.
+    let (ok, stdout, _) = run_tane(&["discover", "/nonexistent/nope.csv", "--stats", "-h"]);
+    assert!(ok && stdout.contains("USAGE"), "{stdout}");
+
+    // `serve --help` must print and exit, not start a server.
+    for help in ["--help", "-h"] {
+        let mut child = tane()
+            .args(["serve", help])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap();
+        let mut stdout = String::new();
+        let mut pipe = child.stdout.take().unwrap();
+        let reader = std::thread::spawn(move || {
+            pipe.read_to_string(&mut stdout).unwrap();
+            stdout
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().unwrap() {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                child.kill().ok();
+                child.wait().ok();
+                panic!("`tane serve {help}` did not exit within 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "serve {help}: {status}");
+        assert!(reader.join().unwrap().contains("SERVE OPTIONS"));
+    }
+}

@@ -1440,6 +1440,30 @@ mod tests {
         assert_eq!(exact.fds, approx.fds);
     }
 
+    /// Seeded random relations: 3–7 attributes, 4–33 rows, per-column
+    /// domains of 2–15 codes. `tests/topk_oracle.rs` draws the same corpus.
+    fn random_corpus(count: usize) -> Vec<Relation> {
+        let mut rng = tane_util::SplitMix64::new(0x7a4e_c0de);
+        (0..count)
+            .map(|_| {
+                let attrs = 3 + rng.usize_below(5);
+                let rows = 4 + rng.usize_below(30);
+                let domains: Vec<usize> = (0..attrs).map(|_| 2 + rng.usize_below(14)).collect();
+                let mut b =
+                    Relation::builder(Schema::new((0..attrs).map(|a| format!("A{a}"))).unwrap());
+                for _ in 0..rows {
+                    b.push_row(
+                        domains
+                            .iter()
+                            .map(|&d| Value::from(rng.usize_below(d) as i64)),
+                    )
+                    .unwrap();
+                }
+                b.build()
+            })
+            .collect()
+    }
+
     #[test]
     fn approximate_matches_brute_force_across_thresholds() {
         let r = figure1();
@@ -1448,6 +1472,27 @@ mod tests {
             let want = brute_force_approx_fds(&r, 4, eps);
             assert_eq!(got.fds, want, "epsilon={eps}");
         }
+        // Key pruning generates no node above a key, so an FD whose
+        // lhs ∪ rhs holds a reported key while its lhs holds none comes
+        // from the superkey closure alone: the corpus must report some.
+        let mut closure_only = 0;
+        for (i, r) in random_corpus(300).iter().enumerate() {
+            for eps in [0.0, 0.05, 0.1, 0.2, 0.34] {
+                let got = discover_approx_fds(r, &ApproxTaneConfig::new(eps)).unwrap();
+                let want = brute_force_approx_fds(r, r.num_attrs(), eps);
+                assert_eq!(got.fds, want, "random relation {i}, epsilon={eps}");
+                let holds_key = |set: AttrSet| got.keys.iter().any(|k| k.is_subset_of(set));
+                closure_only += got
+                    .fds
+                    .iter()
+                    .filter(|fd| holds_key(fd.lhs.with(fd.rhs)) && !holds_key(fd.lhs))
+                    .count();
+            }
+        }
+        assert!(
+            closure_only > 0,
+            "no dependency needed the superkey closure"
+        );
     }
 
     #[test]

@@ -98,6 +98,31 @@ fn brute_pool(relation: &Relation) -> Vec<RankedFd> {
     pool
 }
 
+/// Seeded random relations: 3–7 attributes, 4–33 rows, per-column
+/// domains of 2–15 codes; the corpus `search.rs`'s
+/// `approximate_matches_brute_force_across_thresholds` checks.
+fn random_corpus(count: usize) -> Vec<Relation> {
+    let mut rng = tane_util::SplitMix64::new(0x7a4e_c0de);
+    (0..count)
+        .map(|_| {
+            let attrs = 3 + rng.usize_below(5);
+            let rows = 4 + rng.usize_below(30);
+            let domains: Vec<usize> = (0..attrs).map(|_| 2 + rng.usize_below(14)).collect();
+            let mut b =
+                Relation::builder(Schema::new((0..attrs).map(|a| format!("A{a}"))).unwrap());
+            for _ in 0..rows {
+                b.push_row(
+                    domains
+                        .iter()
+                        .map(|&d| Value::from(rng.usize_below(d) as i64)),
+                )
+                .unwrap();
+            }
+            b.build()
+        })
+        .collect()
+}
+
 fn run_topk(relation: &Relation, k: usize, threads: usize) -> tane_core::TaneResult {
     let config = TopKConfig {
         base: TaneConfig {
@@ -135,6 +160,25 @@ fn figure1_heap_matches_brute_force_pool() {
 #[test]
 fn planted_heap_matches_brute_force_pool() {
     assert_matches_oracle(&small_planted(), "planted");
+}
+
+/// Relations with keys exercise the ranked superkey closure, which scores
+/// the dependencies key pruning would otherwise lose.
+#[test]
+fn random_relations_match_brute_force_pool() {
+    let corpus = random_corpus(120);
+    for (i, relation) in corpus.iter().enumerate() {
+        assert_matches_oracle(relation, &format!("random relation {i}"));
+    }
+    let with_keys = corpus
+        .iter()
+        .filter(|r| !run_topk(r, 4096, 1).keys.is_empty())
+        .count();
+    assert!(
+        with_keys * 2 > corpus.len(),
+        "only {with_keys} of {} relations have a key",
+        corpus.len()
+    );
 }
 
 #[test]

@@ -32,6 +32,9 @@ pub struct Metrics {
     pub requests_total: AtomicU64,
     /// Connections admitted past the connection cap.
     pub connections_total: AtomicU64,
+    /// Handler threads the accept loop has started; admitted connections
+    /// beyond these went to a parked handler.
+    pub handlers_spawned: AtomicU64,
     /// Connections currently being served (the semaphore's level).
     pub connections_active: AtomicUsize,
     /// Connections refused with 503 at the cap.
@@ -78,6 +81,7 @@ impl Metrics {
             start: Instant::now(),
             requests_total: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
+            handlers_spawned: AtomicU64::new(0),
             connections_active: AtomicUsize::new(0),
             connections_shed: AtomicU64::new(0),
             connections_reused: AtomicU64::new(0),
@@ -182,6 +186,10 @@ impl Metrics {
                     (
                         "accepted",
                         n(self.connections_total.load(Ordering::Relaxed)),
+                    ),
+                    (
+                        "handlers_spawned",
+                        n(self.handlers_spawned.load(Ordering::Relaxed)),
                     ),
                     (
                         "active",
@@ -317,6 +325,7 @@ mod tests {
         m.record_search(&stats, false);
 
         m.connections_total.fetch_add(2, Ordering::Relaxed);
+        m.handlers_spawned.fetch_add(1, Ordering::Relaxed);
         m.connections_reused.fetch_add(1, Ordering::Relaxed);
         m.record_connection_end(9);
         m.record_connection_end(4);
@@ -373,6 +382,7 @@ mod tests {
         );
         let conns = doc.get("connections").unwrap();
         assert_eq!(conns.get("accepted").unwrap().as_usize(), Some(2));
+        assert_eq!(conns.get("handlers_spawned").unwrap().as_usize(), Some(1));
         assert_eq!(conns.get("reused").unwrap().as_usize(), Some(1));
         assert_eq!(conns.get("shed").unwrap().as_usize(), Some(0));
         assert_eq!(

@@ -3,26 +3,27 @@
 //! Architecture (one box per thread kind):
 //!
 //! ```text
-//! accept loop ──► handler thread per connection ──► bounded JobQueue ──► worker pool
-//!      │                │  ▲                                               │
-//!      │                ▼  │ single-flight wait / level events             ▼
-//!   shutdown         ResultCache ◄──────────────────── publish ── tane_core::search
+//! accept loop ──► handoff ──► handler threads ──► bounded JobQueue ──► worker pool
+//!      │         (parked ◄──┘   │  ▲                                        │
+//!      │          handlers)     ▼  │ single-flight wait / level events      ▼
+//!   shutdown                 ResultCache ◄───────────── publish ── tane_core::search
 //! ```
 //!
 //! Handlers never compute: they resolve the dataset, claim or join a cache
-//! flight, and wait. Workers own the searches. One handler thread serves a
+//! flight, and wait. Workers own the searches. A handler thread serves a
 //! connection for its whole keep-alive lifetime (up to
 //! `max_requests_per_conn` requests, closing after `idle_timeout` of
-//! silence), and the thread-per-connection spawn is bounded by a
-//! connection semaphore — connections over `max_connections` are shed
-//! with 503 + `Retry-After`. Overload is likewise shed at the queue
-//! (HTTP 429), never absorbed into memory. Shutdown (SIGTERM, SIGINT, or
-//! `POST /shutdown`) stops the accept loop, answers each persistent
-//! connection's in-flight request with `connection: close`, lets workers
-//! finish the jobs they hold, and fails the undrained backlog with 503.
-//! The accept loop blocks in `accept`; shutdown wakes it with one loopback
-//! connect, which it drops unserved, and `Server::wait` repeats that
-//! wake-up while a signal's flag is set but the loop still accepts.
+//! silence), then parks up to `idle_timeout` for the next one: the accept
+//! loop spawns a thread only when no handler is parked. A connection
+//! semaphore sheds connections over `max_connections` with 503 +
+//! `Retry-After`, which bounds the handler threads too. Overload is shed
+//! at the queue (HTTP 429), never absorbed into memory. Shutdown (SIGTERM,
+//! SIGINT, or `POST /shutdown`) stops the accept loop, releases parked
+//! handlers, answers each persistent connection's in-flight request with
+//! `connection: close`, lets workers finish the jobs they hold, and fails
+//! the undrained backlog with 503. The accept loop blocks in `accept`;
+//! shutdown wakes it with one loopback connect, which it drops unserved,
+//! and `Server::wait` repeats that wake-up while a signal's flag is set.
 //!
 //! ## API versions
 //!
@@ -52,11 +53,12 @@
 //! runs on to land in the cache. Cache hits and single-flight followers
 //! replay the recorded level lines, byte-identical to the live stream.
 
+use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheKey, CachedResult, JobResult, Lookup, ResultCache};
@@ -132,7 +134,7 @@ pub struct ServerConfig {
     /// Finished results kept in the cache.
     pub cache_capacity: usize,
     /// Concurrent connections served; excess connections are shed with
-    /// 503 + `Retry-After` instead of spawning unbounded handler threads.
+    /// 503 + `Retry-After`. Also the cap on handler threads, parked or not.
     pub max_connections: usize,
     /// Requests one keep-alive connection may carry before the server
     /// closes it (a fairness valve against connection squatting).
@@ -196,6 +198,18 @@ struct Shared {
     shutdown: AtomicBool,
     /// The listener's address, with an unspecified IP made loopback.
     wake_addr: SocketAddr,
+    /// Where the accept loop hands admitted connections to parked handlers.
+    handoff: Mutex<Handoff>,
+    /// Signalled when a stream is handed off, and by [`Shared::stop`].
+    handed_off: Condvar,
+}
+
+/// Streams handed to parked handlers but not yet taken, and the parked
+/// handlers no stream has claimed yet.
+#[derive(Default)]
+struct Handoff {
+    streams: VecDeque<TcpStream>,
+    parked: usize,
 }
 
 impl Shared {
@@ -203,16 +217,42 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) || SIGNAL_SHUTDOWN.load(Ordering::SeqCst)
     }
 
-    /// Starts a graceful shutdown (idempotent): sets the flag, then wakes the
-    /// accept loop out of `accept`. [`Server::wait`] retries a failed wake.
+    /// Starts a graceful shutdown (idempotent): sets the flag, wakes the
+    /// parked handlers, then wakes the accept loop out of `accept`.
+    /// [`Server::wait`] retries a failed wake.
     fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Taking the lock orders the flag before a handler's next check, or
+        // after its wait has begun, so no handler misses the wake-up.
+        drop(self.handoff.lock().unwrap_or_else(|e| e.into_inner()));
+        self.handed_off.notify_all();
         let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TICK);
+    }
+
+    /// Parks a handler whose connection has ended, for up to `idle_timeout`.
+    /// The slot is released only once parked, so the accept loop, admitting
+    /// a connection into it, finds this handler. `None` once the wait times
+    /// out or shutdown begins; a stream handed over before then is served.
+    fn park(&self) -> Option<TcpStream> {
+        let mut handoff = self.handoff.lock().unwrap_or_else(|e| e.into_inner());
+        handoff.parked += 1;
+        self.release_connection();
+        let waiting = |h: &mut Handoff| h.streams.is_empty() && !self.shutting_down();
+        let mut handoff = self
+            .handed_off
+            .wait_timeout_while(handoff, self.config.idle_timeout, waiting)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+        let stream = handoff.streams.pop_front();
+        if stream.is_none() {
+            handoff.parked -= 1;
+        }
+        stream
     }
 
     /// Claims a connection slot, or reports the cap reached. The gauge in
     /// `metrics.connections_active` *is* the semaphore count; handlers
-    /// release by decrementing it when they finish.
+    /// release by decrementing it once parked ([`Shared::park`]).
     fn try_admit_connection(&self) -> bool {
         let active = &self.metrics.connections_active;
         let mut current = active.load(Ordering::Relaxed);
@@ -267,6 +307,8 @@ impl Server {
             metrics: Metrics::new(config.workers),
             shutdown: AtomicBool::new(false),
             wake_addr,
+            handoff: Mutex::default(),
+            handed_off: Condvar::new(),
             config,
         });
 
@@ -301,15 +343,16 @@ impl Server {
         self.local_addr
     }
 
-    /// Requests a graceful shutdown (idempotent) and wakes the accept loop.
+    /// Requests a graceful shutdown (idempotent) and wakes the accept loop
+    /// and every parked handler.
     pub fn shutdown(&self) {
         self.shared.stop();
     }
 
     /// Blocks until the server has fully stopped: accept loop ended,
-    /// workers drained and joined.
+    /// workers drained and joined, parked handlers released.
     /// A signal only sets a flag and std retries `accept` on `EINTR`, so
-    /// every 50 ms while shutting down this repeats the accept loop's wake-up.
+    /// every 50 ms while shutting down this repeats [`Server::shutdown`].
     pub fn wait(self) {
         while let Err(RecvTimeoutError::Timeout) = self.accepting.recv_timeout(WAKE_TICK) {
             if self.shared.shutting_down() {
@@ -339,15 +382,31 @@ fn accept_loop(
                     .metrics
                     .connections_total
                     .fetch_add(1, Ordering::Relaxed);
+                let mut handoff = shared.handoff.lock().unwrap_or_else(|e| e.into_inner());
+                if handoff.parked > 0 {
+                    handoff.parked -= 1;
+                    handoff.streams.push_back(stream);
+                    shared.handed_off.notify_one();
+                    continue;
+                }
+                drop(handoff);
                 let handler_shared = Arc::clone(shared);
                 let spawned = std::thread::Builder::new()
                     .name("tane-handler".into())
                     .spawn(move || {
-                        handle_connection(&handler_shared, stream);
-                        handler_shared.release_connection();
+                        let mut next = Some(stream);
+                        while let Some(stream) = next {
+                            handle_connection(&handler_shared, stream);
+                            next = handler_shared.park();
+                        }
                     });
-                if spawned.is_err() {
-                    // The closure (and its permit release) never ran; the
+                if spawned.is_ok() {
+                    shared
+                        .metrics
+                        .handlers_spawned
+                        .fetch_add(1, Ordering::Relaxed);
+                } else {
+                    // The closure (and its slot release) never ran; the
                     // stream was dropped with it. Give the slot back here.
                     shared.release_connection();
                 }
@@ -1752,6 +1811,43 @@ mod tests {
             .extra_headers
             .iter()
             .any(|(n, v)| n == "retry-after" && v == "1"));
+    }
+
+    /// A parked handler holds the server's state, its registry included;
+    /// shutdown must release it at once, not after `idle_timeout`.
+    #[test]
+    fn shutdown_releases_parked_handlers() {
+        use std::io::Read;
+        let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let shared = Arc::clone(&server.shared);
+        // Both open before either asks, so each gets its own handler.
+        let clients: Vec<TcpStream> = (0..2)
+            .map(|_| TcpStream::connect(server.local_addr()).unwrap())
+            .collect();
+        for mut client in clients {
+            client
+                .write_all(b"GET /v1/health HTTP/1.1\r\nhost: x\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let mut reply = String::new();
+            client.read_to_string(&mut reply).unwrap();
+            assert!(reply.starts_with("HTTP/1.1 200 "), "{reply}");
+        }
+        // A handler gives its slot back only once parked.
+        let parked_by = Instant::now() + Duration::from_secs(5);
+        while shared.metrics.connections_active.load(Ordering::SeqCst) > 0 {
+            assert!(Instant::now() < parked_by, "the handlers never parked");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        server.shutdown();
+        server.wait();
+        let released_by = Instant::now() + Duration::from_secs(1);
+        while Arc::strong_count(&shared) > 1 {
+            assert!(
+                Instant::now() < released_by,
+                "a handler still holds the server 1 s after shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 
     #[test]

@@ -656,3 +656,54 @@ fn fresh_connections_are_accepted_without_a_poll() {
     server.shutdown();
     server.wait();
 }
+
+/// A handler whose connection ends parks for the next one, so fresh
+/// connections opened one after another, each once the previous one's
+/// handler has parked, are served without starting a thread each.
+#[test]
+fn fresh_connections_reuse_a_parked_handler() {
+    let server = Server::start("127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut observer = Conn::open(addr);
+    // (accepted, handlers_spawned, active) from `/v1/metrics`.
+    let mut connections = || {
+        observer.send_in_one_write("GET", "/v1/metrics", b"");
+        let body = observer.recv().body;
+        let conns = body.get("connections").expect("connections object");
+        let count = |key: &str| {
+            conns
+                .get(key)
+                .and_then(Json::as_usize)
+                .unwrap_or_else(|| panic!("no `connections.{key}`: {conns:?}"))
+        };
+        (
+            count("accepted"),
+            count("handlers_spawned"),
+            count("active"),
+        )
+    };
+    let (accepted, spawned, _) = connections();
+    for _ in 0..ROUNDS {
+        let mut conn = Conn::open(addr);
+        conn.send_in_one_write("GET", "/v1/health", b"");
+        assert_eq!(conn.recv().status, 200);
+        drop(conn);
+        // Only the observer left: the handler has parked (it gives its
+        // slot back only then).
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while connections().2 != 1 {
+            assert!(Instant::now() < deadline, "the handler never parked");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let (accepted_after, spawned_after, _) = connections();
+    assert_eq!(accepted_after - accepted, ROUNDS);
+    assert!(
+        spawned_after - spawned <= 2,
+        "{} handler threads started for {ROUNDS} sequential connections",
+        spawned_after - spawned
+    );
+
+    server.shutdown();
+    server.wait();
+}
